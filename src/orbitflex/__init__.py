@@ -33,6 +33,7 @@ from .flexlab import (
     FlexProfile,
     FlexSums,
     GenericityFailureError,
+    InconsistentProfileError,
     PlaneCurve,
     PointNotOnCurveError,
     SingularCurveError,
@@ -42,7 +43,6 @@ from .flexlab import (
     flex_profile,
 )
 from .orbitformulas import (
-    InconsistentProfileError,
     NonDivisibleError,
     PredegreeReport,
     aut_lcm_bound,

@@ -51,7 +51,6 @@ from typing import Callable, Iterable, Mapping
 from .exactpoly import MultiPoly
 from .flexlab import FlexProfile
 from .orbitformulas import (
-    InconsistentProfileError,
     cyclic_curve_degree_closed_form,
     fermat_predegree,
     fermat_predegree_factored,
@@ -540,14 +539,9 @@ def predegree_via_chow(
         return dp**8 - _d_only(i_first) - _d_only(i_second) - flex_part
     if profile is None:
         raise ValueError("numeric mode needs a flex profile")
-    items = sorted(profile.items() if hasattr(profile, "items") else profile)
-    weighted = sum(r * n for r, n in items)
-    if weighted != 3 * d * (d - 2):
-        raise InconsistentProfileError(
-            f"weighted flex count {weighted} != 3d(d-2) = {3*d*(d-2)} for d = {d}"
-        )
+    items = FlexProfile(d, dict(profile.items())).items()
     total = Fraction(d) ** 8 - i_first.evaluate((d, 0)) - i_second.evaluate((d, 0))
-    max_order = max((r for r, n in items if n), default=0)
+    max_order = max((r for r, _ in items), default=0)
     for j in range(2, max_order + 2):
         flexes_above = sum(n for r, n in items if r > j - 2)
         if flexes_above:

@@ -114,9 +114,9 @@ def _cmd_flexes(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_payload(source: str, report) -> tuple[dict, list[str]]:
+def _report_payload(command: str, source: str, report) -> tuple[dict, list[str]]:
     payload = {
-        "command": "predegree",
+        "command": command,
         "curve": source,
         "curve_degree": report.degree,
         "profile": dict(report.profile.items()),
@@ -144,21 +144,12 @@ def _report_payload(source: str, report) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _cmd_predegree(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
+    """The ``predegree`` and ``degree`` subcommands."""
     source = _load_curve(args)
     curve, profile = _profile_of(source, args.seed)
     report = build_report(curve.degree, profile, aut_order=args.aut)
-    payload, lines = _report_payload(source, report)
-    _emit(payload, lines, args.json)
-    return EXIT_OK
-
-
-def _cmd_degree(args: argparse.Namespace) -> int:
-    source = _load_curve(args)
-    curve, profile = _profile_of(source, args.seed)
-    report = build_report(curve.degree, profile, aut_order=args.aut)
-    payload, lines = _report_payload(source, report)
-    payload["command"] = "degree"
+    payload, lines = _report_payload(args.command, source, report)
     _emit(payload, lines, args.json)
     return EXIT_OK
 
@@ -257,12 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predegree", help="predegree of the orbit closure")
     add_curve(p)
     p.add_argument("--aut", type=int, help="order of the automorphism group")
-    p.set_defaults(func=_cmd_predegree)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("degree", help="orbit-closure degree (needs --aut)")
     add_curve(p)
     p.add_argument("--aut", type=int, required=True)
-    p.set_defaults(func=_cmd_degree)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("table", help="P(d) table with factorizations")
     p.add_argument("--from", dest="d_from", type=int, required=True)
@@ -292,7 +283,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         NonHomogeneousError,
         ZeroPolynomialError,
         SingularCurveError,
-        FileNotFoundError,
+        OSError,
     ) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

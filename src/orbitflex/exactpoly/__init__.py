@@ -2,8 +2,10 @@
 
 The computational substrate for the rest of the package: sparse
 multivariate polynomials over the rationals, dense univariate polynomials
-with gcd and squarefree machinery, Sylvester resultants, and integer
-factorization.  Everything here is exact; nothing rounds, ever.
+with gcd and squarefree machinery, resultants of bivariate polynomials
+(subresultant remainder sequences at integer points, then integer
+interpolation), and integer factorization.  Everything here is exact;
+nothing rounds, ever.
 """
 
 from .intfactor import factor_integer, format_factorization, is_prime, multiply_back
@@ -21,7 +23,7 @@ from .multipoly import (
     int_matrix_det3,
     linear_substitute,
 )
-from .resultant import bareiss_det_int, bareiss_det_poly, resultant, sylvester_matrix
+from .resultant import resultant
 from .unipoly import UniPoly, ZeroPolynomialError, gcd, squarefree_decompose
 
 __all__ = [
@@ -33,8 +35,6 @@ __all__ = [
     "UnknownVariableError",
     "VariableMismatchError",
     "ZeroPolynomialError",
-    "bareiss_det_int",
-    "bareiss_det_poly",
     "compose_linear",
     "differentiate",
     "factor_integer",
@@ -48,5 +48,4 @@ __all__ = [
     "multiply_back",
     "resultant",
     "squarefree_decompose",
-    "sylvester_matrix",
 ]

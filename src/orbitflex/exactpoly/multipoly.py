@@ -355,8 +355,7 @@ class MultiPoly:
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises if the quotient is not exact.
 
-        Works recursively one variable at a time, which is all that the
-        fraction-free elimination in the resultant code requires.
+        Works recursively one variable at a time.
         """
         self._check_same_vars(divisor)
         if divisor.is_zero():

@@ -1,57 +1,41 @@
-"""Sylvester resultants by fraction-free elimination.
+"""Resultants of bivariate polynomials by evaluation and interpolation.
 
-The resultant of two polynomials in an eliminated variable is the
-determinant of their Sylvester matrix, with the rows carrying the first
-argument's coefficients placed first.  Entries are polynomials in the
-remaining variables, and the determinant is computed without ever leaving
-the polynomial ring:
+``resultant(f, g, var)`` eliminates ``var`` from two polynomials over the
+same two variables and returns a polynomial in the other one, x say.  The
+value is the determinant of the Sylvester matrix with the rows carrying
+f's coefficients first, but the matrix is never built:
 
-* one remaining variable: evaluate the matrix at enough integer points,
-  take integer Bareiss determinants, and interpolate (the fast path used
-  by the curve pipeline);
-* otherwise: Bareiss elimination directly on polynomial entries, with
-  exact division at each step.
+* denominators are cleared per argument, using
+  Res(a*f, b*g) = a**n * b**m * Res(f, g) for degrees m, n in ``var``;
+* with D, E the total degrees of f and g, the result has degree at most
+  k - 1 = n*D + m*E - m*n in x (3d(d-2) for a curve and its Hessian);
+* at each of the points x = 0, 1, ..., k-1 the resultant of the two
+  integer polynomials in ``var`` comes from the subresultant polynomial
+  remainder sequence over Z (Collins 1967; Brown & Traub 1971; Cohen,
+  GTM 138, Algorithm 3.3.7), taken at the formal degrees m, n even where
+  a leading coefficient vanishes;
+* the k values are reassembled by Newton interpolation on integer forward
+  differences scaled by (k-1)!, which is divided back out exactly at the
+  end (Collins 1971).
 
-Both paths compute the determinant of the same matrix, so they agree
-exactly, signs included.
+All arithmetic is on Python integers, and identical inputs give identical
+term maps.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import factorial
 from math import gcd as int_gcd
 from typing import Sequence
 
 from .multipoly import MultiPoly
-from .unipoly import UniPoly, ZeroPolynomialError
+from .unipoly import IntPoly, ZeroPolynomialError, _deg, _divexact, _pseudo_rem, _trim
 
 
-def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:
-    """Sylvester matrix of f and g in ``var`` (f's coefficient rows first)."""
-    if f.variables != g.variables:
-        raise ValueError(f"operands over {f.variables} and {g.variables}")
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomialError("resultant of the zero polynomial is undefined")
-    fc = f.coefficients_in(var)
-    gc = g.coefficients_in(var)
-    m, n = len(fc) - 1, len(gc) - 1
-    rest = fc[0].variables
-    zero = MultiPoly.zero(rest)
-    size = m + n
-    rows: list[list[MultiPoly]] = []
-    fd = list(reversed(fc))  # descending powers
-    gd = list(reversed(gc))
-    for i in range(n):
-        rows.append([zero] * i + fd + [zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + gd + [zero] * (size - n - 1 - i))
-    return rows
+def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Resultant of bivariate f and g with respect to ``var``.
 
-
-def resultant(f: MultiPoly, g: MultiPoly, var: str, method: str = "auto") -> MultiPoly:
-    """Resultant of f and g with respect to ``var``.
-
-    Returns a polynomial over the remaining variables.  When one argument
+    Returns a polynomial over the remaining variable.  When one argument
     is constant in ``var`` the usual convention applies:
     Res(f, g) = f**deg(g) if deg(f) = 0, and 1 if both degrees are 0.
     """
@@ -59,6 +43,8 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str, method: str = "auto") -> Mul
         raise ValueError(f"operands over {f.variables} and {g.variables}")
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomialError("resultant of the zero polynomial is undefined")
+    if len(f.variables) != 2:
+        raise ValueError(f"resultant needs two variables, got {f.variables}")
     fc = f.coefficients_in(var)
     gc = g.coefficients_in(var)
     m, n = len(fc) - 1, len(gc) - 1
@@ -66,165 +52,109 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str, method: str = "auto") -> Mul
         return fc[0] ** n
     if n == 0:
         return gc[0] ** m
-    matrix = sylvester_matrix(f, g, var)
-    rest = matrix[0][0].variables
-    if method not in ("auto", "bareiss", "interpolate"):
-        raise ValueError(f"unknown method {method!r}")
-    if len(rest) == 1 and method in ("auto", "interpolate"):
-        hint = _bezout_degree_hint(fc, gc, rest[0])
-        return _det_interpolated(matrix, rest[0], hint)
-    if method == "interpolate":
-        raise ValueError("interpolation path needs exactly one remaining variable")
-    return bareiss_det_poly(matrix)
+    fi, a = _integer_coefficients(fc)
+    gi, b = _integer_coefficients(gc)
+    k = n * f.total_degree() + m * g.total_degree() - m * n + 1
+    values = [
+        _resultant_at_formal_degrees(
+            [_horner(c, t) for c in fi], [_horner(c, t) for c in gi], m, n
+        )
+        for t in range(k)
+    ]
+    rest = fc[0].variables
+    out = MultiPoly(rest, {(i,): c for i, c in enumerate(_interpolate(values)) if c})
+    scale = a**n * b**m
+    return out if scale == 1 else out.exact_div(MultiPoly.const(rest, scale))
 
 
-def _bezout_degree_hint(
-    fc: Sequence[MultiPoly], gc: Sequence[MultiPoly], var: str
-) -> int | None:
-    """Degree bound m*n, valid when coefficient degrees are triangular.
-
-    If coefficient i of each input has degree <= (top degree - i) in the
-    remaining variable -- true for dehomogenized forms -- the resultant is
-    the dehomogenization of a binary form of degree m*n.
-    """
-    m, n = len(fc) - 1, len(gc) - 1
-    for top, cs in ((m, fc), (n, gc)):
-        for i, c in enumerate(cs):
-            d = c.degree_in(var)
-            if d is not None and d > top - i:
-                return None
-    return m * n
+def _integer_coefficients(cs: Sequence[MultiPoly]) -> tuple[list[IntPoly], int]:
+    """Dense integer coefficient lists of ``den * c`` for each c, and ``den``."""
+    den = 1
+    for c in cs:
+        for q in c.terms.values():
+            den = den * q.denominator // int_gcd(den, q.denominator)
+    out: list[IntPoly] = []
+    for c in cs:
+        dense = [0] * ((c.total_degree() or 0) + 1)
+        for (e,), q in c.terms.items():
+            dense[e] = q.numerator * (den // q.denominator)
+        out.append(dense)
+    return out, den
 
 
-# ----------------------------------------------------------------------
-# Determinants
-# ----------------------------------------------------------------------
-
-
-def bareiss_det_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]
-
-
-def bareiss_det_poly(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant of a polynomial matrix (exact divisions)."""
-    n = len(matrix)
-    if n == 0:
-        return MultiPoly.const((), 1)
-    variables = matrix[0][0].variables
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = MultiPoly.const(variables, 1)
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
-        if pivot is None:
-            return MultiPoly.zero(variables)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (pk * m[i][j] - mik * m[k][j]).exact_div(prev)
-            m[i][k] = MultiPoly.zero(variables)
-        prev = pk
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def _det_interpolated(
-    matrix: Sequence[Sequence[MultiPoly]], var: str, degree_hint: int | None
-) -> MultiPoly:
-    """Determinant of a matrix of univariate polynomials by interpolation.
-
-    Rows are rescaled to integer coefficients (the determinant picks up the
-    product of the scales, divided back out at the end), evaluated at small
-    integers, and reassembled by Newton interpolation.  Deterministic point
-    order keeps results identical from run to run.
-    """
-    n = len(matrix)
-    if n == 0:
-        return MultiPoly.const((var,), 1)
-    int_rows: list[list[list[int]]] = []
-    scale = 1
-    row_bound_total = 0
-    for row in matrix:
-        dense = [UniPoly.from_multipoly(p).coeffs for p in row]
-        lcm = 1
-        for cs in dense:
-            for c in cs:
-                lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-        scale *= lcm
-        int_rows.append([[int(c * lcm) for c in cs] for cs in dense])
-        row_bound_total += max((len(cs) - 1 for cs in dense if cs), default=0)
-    bound = row_bound_total
-    if degree_hint is not None:
-        bound = min(bound, degree_hint)
-    points = _eval_points(bound + 1)
-    values: list[Fraction] = []
-    for t in points:
-        m = [[_eval_int_list(cs, t) for cs in row] for row in int_rows]
-        values.append(Fraction(bareiss_det_int(m), scale))
-    coeffs = _newton_interpolate(points, values)
-    return MultiPoly((var,), {(i,): c for i, c in enumerate(coeffs) if c != 0})
-
-
-def _eval_points(count: int) -> list[int]:
-    pts = [0]
-    t = 1
-    while len(pts) < count:
-        pts.append(t)
-        if len(pts) < count:
-            pts.append(-t)
-        t += 1
-    return pts[:count]
-
-
-def _eval_int_list(coeffs: Sequence[int], t: int) -> int:
+def _horner(coeffs: Sequence[int], t: int) -> int:
     acc = 0
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
 
 
-def _newton_interpolate(xs: Sequence[int], ys: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients (lowest first) of the interpolating polynomial."""
-    k = len(xs)
-    diffs = list(ys)
-    # diffs[i] becomes the divided difference f[x_0 .. x_i].
+def _resultant_at_formal_degrees(f: IntPoly, g: IntPoly, m: int, n: int) -> int:
+    """Res_{m,n}(f, g) of integer polynomials with deg f <= m, deg g <= n.
+
+    Expanding the Sylvester determinant along its first column removes a
+    vanished leading coefficient one degree at a time.
+    """
+    f, g = _trim(f), _trim(g)
+    mf, ng = _deg(f), _deg(g)
+    if mf < m and ng < n:
+        return 0
+    if ng < n:
+        return f[-1] ** (n - ng) * _prs_resultant(f, g)
+    if mf < m:
+        sign = -1 if n * (m - mf) % 2 else 1
+        return sign * g[-1] ** (m - mf) * _prs_resultant(f, g)
+    return _prs_resultant(f, g)
+
+
+def _prs_resultant(a: IntPoly, b: IntPoly) -> int:
+    """Res(a, b) at the actual degrees, by the subresultant PRS."""
+    if not a or not b:
+        return 0
+    da, db = _deg(a), _deg(b)
+    sign = 1
+    if da < db:
+        a, b, da, db = b, a, db, da
+        if da % 2 and db % 2:
+            sign = -1
+    if db == 0:
+        return sign * b[0] ** da
+    g = h = 1
+    while db > 0:
+        delta = da - db
+        if da % 2 and db % 2:
+            sign = -sign
+        r = _pseudo_rem(a, b)
+        if not r:
+            return 0
+        a, b = b, _divexact(r, [g * h**delta])
+        da, db = db, _deg(b)
+        g = a[-1]
+        if delta:
+            h = g**delta // h ** (delta - 1)
+    return sign * (b[0] ** da // h ** (da - 1))
+
+
+def _interpolate(values: Sequence[int]) -> IntPoly:
+    """Integer coefficients, lowest first, of the polynomial through
+    (t, values[t]) for t = 0 .. k-1.
+
+    Newton's forward-difference form sum_j D^j / j! * t(t-1)...(t-j+1) is
+    accumulated by Horner's rule with every coefficient D^j multiplied by
+    (k-1)!/j!, so the sum stays integral; (k-1)! divides the result exactly.
+    """
+    k = len(values)
+    diffs = list(values)
     for level in range(1, k):
         for i in range(k - 1, level - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - level])
-    coeffs = [Fraction(0)] * k
-    # Horner accumulation of sum_i diffs[i] * prod_{j<i} (x - x_j).
-    for i in range(k - 1, -1, -1):
-        carry = [Fraction(0)] + coeffs[:-1]
-        for j in range(k):
-            coeffs[j] = carry[j] - xs[i] * coeffs[j]
-        coeffs[0] += diffs[i]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+            diffs[i] -= diffs[i - 1]
+    coeffs: IntPoly = []
+    weight = 1  # (k-1)! / j!
+    for j in range(k - 1, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= j * c
+        shifted[0] += diffs[j] * weight
+        coeffs = shifted
+        weight *= j
+    return _divexact(_trim(coeffs), [factorial(k - 1)])

@@ -7,10 +7,9 @@ coefficient lists after clearing denominators; rational results are
 reassembled at the boundary.
 
 The gcd of integer polynomials is computed by a small-prime modular
-algorithm with CRT reconstruction and a final divisibility check, falling
-back to a primitive pseudo-remainder sequence if the prime pool is ever
-exhausted.  Squarefree decomposition is the derivative-gcd recursion of
-Yun, valid in characteristic zero.
+algorithm with CRT reconstruction and a final divisibility check.
+Squarefree decomposition is the derivative-gcd recursion of Yun, valid in
+characteristic zero.
 """
 
 from __future__ import annotations
@@ -159,8 +158,8 @@ def _sym(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _gcd_modular(f: IntPoly, g: IntPoly) -> IntPoly | None:
-    """Primitive gcd of primitive integer polynomials, or None on failure."""
+def _gcd_modular(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive gcd of primitive integer polynomials."""
     lead_gcd = int_gcd(f[-1], g[-1])
     best_deg: int | None = None
     combined: list[int] = []
@@ -204,7 +203,6 @@ def _gcd_modular(f: IntPoly, g: IntPoly) -> IntPoly | None:
             if candidate and _divides(candidate, f) and _divides(candidate, g):
                 return candidate
             stable = 0
-    return None
 
 
 def _divides(d: IntPoly, p: IntPoly) -> bool:
@@ -216,10 +214,16 @@ def _divides(d: IntPoly, p: IntPoly) -> bool:
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder of a by b (b nonzero), fraction-free."""
+    """Exact pseudo-remainder: lc(b)**(deg a - deg b + 1) * a reduced mod b.
+
+    ``b`` is nonzero and deg a >= deg b.  A reduction pass that drops the
+    degree by more than one still owes the skipped powers of lc(b); they
+    are applied at the end.
+    """
     a = list(a)
     dd = _deg(b)
     lead = b[-1]
+    owed = _deg(a) - dd + 1
     while _deg(a) >= dd and a:
         shift = _deg(a) - dd
         top = a[-1]
@@ -227,17 +231,11 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
         for i, bc in enumerate(b):
             a[shift + i] -= top * bc
         _trim(a)
+        owed -= 1
+    if owed > 0:
+        scale = lead**owed
+        a = [c * scale for c in a]
     return a
-
-
-def _gcd_prs(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive pseudo-remainder sequence gcd (always terminates)."""
-    a, b = (f, g) if _deg(f) >= _deg(g) else (g, f)
-    a, b = _primitive(list(a)), _primitive(list(b))
-    while b:
-        r = _primitive(_pseudo_rem(a, b))
-        a, b = b, r
-    return _primitive(a)
 
 
 def gcd_int_poly(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -250,10 +248,7 @@ def gcd_int_poly(f: IntPoly, g: IntPoly) -> IntPoly:
         return f
     if _deg(f) == 0 or _deg(g) == 0:
         return [1]
-    result = _gcd_modular(f, g)
-    if result is None:
-        result = _gcd_prs(f, g)
-    return result
+    return _gcd_modular(f, g)
 
 
 def squarefree_int(f: IntPoly) -> list[tuple[int, IntPoly]]:

@@ -71,6 +71,10 @@ class PointNotOnCurveError(ValueError):
     """A point claimed to lie on the curve does not."""
 
 
+class InconsistentProfileError(ValueError):
+    """A flex profile fails the weighted-count constraint for its degree."""
+
+
 @dataclass(frozen=True)
 class PlaneCurve:
     """A homogeneous ternary form certified smooth by ``check_smooth``."""
@@ -89,14 +93,14 @@ class FlexProfile:
         clean = {r: n for r, n in counts.items() if n != 0}
         weighted = sum(r * n for r, n in clean.items())
         if weighted != 3 * degree * (degree - 2):
-            raise ValueError(
+            raise InconsistentProfileError(
                 f"weighted flex count {weighted} != 3d(d-2) = {3*degree*(degree-2)}"
             )
         for r, n in clean.items():
             if r < 1 or n < 0:
-                raise ValueError(f"invalid profile entry {r}: {n}")
+                raise InconsistentProfileError(f"invalid profile entry {r}: {n}")
             if r > degree - 2:
-                raise ValueError(
+                raise InconsistentProfileError(
                     f"flex order {r} exceeds d-2 = {degree - 2} (a line meets the"
                     " curve with multiplicity at most d)"
                 )

@@ -30,16 +30,13 @@ from typing import Mapping, Union
 
 from .exactpoly import MultiPoly, factor_integer
 from .flexlab import FlexProfile, FlexSums, f_sums
+from .flexlab import InconsistentProfileError  # noqa: F401 (part of this module's API)
 
 DLike = Union[int, MultiPoly]
 
 
 class NonDivisibleError(ValueError):
     """A claimed automorphism order does not divide the predegree."""
-
-
-class InconsistentProfileError(ValueError):
-    """A flex profile fails the weighted-count constraint for its degree."""
 
 
 def d_symbol() -> MultiPoly:
@@ -50,20 +47,6 @@ def d_symbol() -> MultiPoly:
 def _require_degree(d: DLike, minimum: int = 3) -> None:
     if isinstance(d, int) and d < minimum:
         raise ValueError(f"degree must be at least {minimum}, got {d}")
-
-
-def _profile_items(d: int, profile: "FlexProfile | Mapping[int, int]") -> list[tuple[int, int]]:
-    """Validated (order, count) pairs for a numeric degree."""
-    items = sorted(profile.items() if hasattr(profile, "items") else profile)
-    weighted = sum(r * n for r, n in items)
-    if weighted != 3 * d * (d - 2):
-        raise InconsistentProfileError(
-            f"weighted flex count {weighted} != 3d(d-2) = {3*d*(d-2)} for d = {d}"
-        )
-    for r, n in items:
-        if r < 1 or n < 0 or r > d - 2:
-            raise InconsistentProfileError(f"invalid profile entry {r}: {n} for d = {d}")
-    return [(r, n) for r, n in items if n > 0]
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +87,7 @@ def predegree_by_blowup_sum(d: int, profile: "FlexProfile | Mapping[int, int]") 
     the level-j term is weighted by the number of flexes of order > j - 2.
     """
     _require_degree(d)
-    items = _profile_items(d, profile)
+    items = FlexProfile(d, dict(profile.items())).items()
     total = d**8 - first_blowup_term(d) - second_blowup_term(d)
     max_order = max((r for r, _ in items), default=0)
     for j in range(2, max_order + 2):
@@ -121,7 +104,7 @@ def predegree_by_blowup_sum(d: int, profile: "FlexProfile | Mapping[int, int]") 
 def predegree_by_flex_orders(d: int, profile: "FlexProfile | Mapping[int, int]") -> int:
     """Predegree from the profile, one summand per flex order."""
     _require_degree(d)
-    items = _profile_items(d, profile)
+    items = FlexProfile(d, dict(profile.items())).items()
     total = d * (d - 2) * (
         d**6 + 2 * d**5 + 4 * d**4 + 8 * d**3 - 1356 * d**2 + 5280 * d - 5319
     )

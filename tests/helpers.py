@@ -1,12 +1,15 @@
-"""Shared generators for randomized tests (all deterministic via seeds)."""
+"""Shared generators for randomized tests (all deterministic via seeds),
+and the reference algorithms that differential tests compare against."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 from orbitflex.exactpoly import MultiPoly
+from orbitflex.exactpoly.unipoly import _deg, _primitive, _pseudo_rem
 from orbitflex.flexlab import PlaneCurve, SingularCurveError, check_smooth
 
 CURVE_VARS = ("x", "y", "z")
@@ -66,3 +69,99 @@ def random_valid_profile(rng: random.Random, d: int) -> dict[int, int]:
 
 def frac(n: int, d: int = 1) -> Fraction:
     return Fraction(n, d)
+
+
+# ----------------------------------------------------------------------
+# Reference algorithms kept as differential oracles
+# ----------------------------------------------------------------------
+
+
+def sylvester_matrix(f: MultiPoly, g: MultiPoly, var: str) -> list[list[MultiPoly]]:
+    """Sylvester matrix of f and g in ``var`` (f's coefficient rows first)."""
+    fd = list(reversed(f.coefficients_in(var)))  # descending powers
+    gd = list(reversed(g.coefficients_in(var)))
+    m, n = len(fd) - 1, len(gd) - 1
+    zero = MultiPoly.zero(fd[0].variables)
+    rows = [[zero] * i + fd + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + gd + [zero] * (m - 1 - i) for i in range(m)]
+    return rows
+
+
+def bareiss_det_int(matrix: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            for j in range(k + 1, n):
+                m[i][j] = (pk * m[i][j] - mik * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pk
+    return sign * m[n - 1][n - 1]
+
+
+def newton_interpolate(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
+    """Coefficients (lowest first) of the polynomial through (xs[i], ys[i])."""
+    k = len(xs)
+    diffs = list(ys)
+    for level in range(1, k):
+        for i in range(k - 1, level - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - level])
+    coeffs = [Fraction(0)] * k
+    for i in range(k - 1, -1, -1):
+        carry = [Fraction(0)] + coeffs[:-1]
+        for j in range(k):
+            coeffs[j] = carry[j] - xs[i] * coeffs[j]
+        coeffs[0] += diffs[i]
+    return coeffs
+
+
+def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """Res_var(f, g) of bivariate f, g as the Sylvester determinant.
+
+    Rows are scaled to integer entries, the matrix is evaluated at
+    t = 0 .. k-1 with k - 1 the sum of the row degrees, each integer
+    determinant comes from Bareiss elimination, and the values are
+    interpolated over the rationals.
+    """
+    rest = tuple(v for v in f.variables if v != var)
+    scale = 1
+    rows = []
+    for row in sylvester_matrix(f, g, var):
+        den = 1
+        for entry in row:
+            for c in entry.terms.values():
+                den = den * c.denominator // gcd(den, c.denominator)
+        scale *= den
+        rows.append([entry * den for entry in row])
+    k = 1 + sum(max(entry.total_degree() or 0 for entry in row) for row in rows)
+    points = list(range(k))
+    values = []
+    for t in points:
+        det = bareiss_det_int([[int(e.evaluate((t,))) for e in row] for row in rows])
+        values.append(Fraction(det, scale))
+    coeffs = newton_interpolate(points, values)
+    return MultiPoly(rest, {(i,): c for i, c in enumerate(coeffs)})
+
+
+def gcd_prs(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd of integer polynomials by the primitive pseudo-remainder
+    sequence (lowest degree first)."""
+    a, b = (f, g) if _deg(f) >= _deg(g) else (g, f)
+    a, b = _primitive(list(a)), _primitive(list(b))
+    while b:
+        r = _primitive(_pseudo_rem(a, b))
+        a, b = b, r
+    return _primitive(a)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from orbitflex.cli import main
 
 KLEIN = "x^3*y + y^3*z + z^3*x"
@@ -133,9 +135,12 @@ def test_curve_from_file(tmp_path, capsys):
     assert "order 1 x 9" in out
 
 
-def test_missing_file(capsys):
-    code, _, err = run(capsys, "flexes", "--from-file", "/nonexistent/curve.txt")
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_missing_file(capsys, tmp_path, kind):
+    path = "/nonexistent/curve.txt" if kind == "missing" else str(tmp_path)
+    code, _, err = run(capsys, "flexes", "--from-file", path)
     assert code == 2
+    assert err.startswith("input error: ")
 
 
 def test_json_schema_key_sets(capsys):

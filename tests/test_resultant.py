@@ -1,16 +1,28 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from orbitflex.exactpoly import MultiPoly, ZeroPolynomialError, resultant, sylvester_matrix
+from orbitflex.exactpoly import (
+    MultiPoly,
+    ZeroPolynomialError,
+    hessian_determinant,
+    linear_substitute,
+    resultant,
+)
+from orbitflex.flexlab import random_unimodular
 
-T = ("t",)
+from helpers import sylvester_matrix, sylvester_resultant
+
+# Univariate cases carry an unused second variable: resultant() takes
+# bivariate input only.
+T = ("s", "t")
 t = MultiPoly.var(T, "t")
 
 
 def rand_poly_in_t(rng: random.Random, deg: int) -> MultiPoly:
-    terms = {(i,): rng.randint(-4, 4) for i in range(deg)}
-    terms[(deg,)] = rng.choice([1, 2, 3, -2])
+    terms = {(0, i): rng.randint(-4, 4) for i in range(deg)}
+    terms[(0, deg)] = rng.choice([1, 2, 3, -2])
     return MultiPoly(T, terms)
 
 
@@ -34,6 +46,7 @@ def test_sylvester_layout_convention():
     flat = [[entry.constant_term() for entry in row] for row in m]
     assert flat == [[a, b, c], [d, e, 0], [0, d, e]]
     expected = a * e**2 - b * d * e + c * d**2
+    assert sylvester_resultant(f, g, "t").constant_term() == expected
     assert resultant(f, g, "t").constant_term() == expected
 
 
@@ -79,24 +92,64 @@ def test_constant_argument_convention():
     assert resultant(c, c, "t").constant_term() == 1
 
 
+W = ("u", "v")
+u = MultiPoly.var(W, "u")
+v = MultiPoly.var(W, "v")
+
+
+def rand_bivariate(rng: random.Random, rational: bool) -> MultiPoly:
+    """Random polynomial of degree <= 3 in each of u, v; with probability 1/2
+    the top v-coefficient is u times a constant, so it vanishes at u = 0."""
+    top = rng.randint(0, 3)
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        c = rng.randint(-5, 5)
+        terms[(rng.randint(0, 3), rng.randint(0, top))] = (
+            Fraction(c, rng.randint(1, 4)) if rational else c
+        )
+    p = MultiPoly(W, terms)
+    if rng.random() < 0.5:
+        p = p + rng.choice([1, -2, 3]) * u * v ** (top + 1)
+    return p if not p.is_zero() else v + top
+
+
 def test_bareiss_and_interpolation_agree():
+    """resultant() equals the Sylvester + integer Bareiss oracle term for term."""
     rng = random.Random(37)
-    W = ("u", "v")
-    u = MultiPoly.var(W, "u")
-    v = MultiPoly.var(W, "v")
-    for _ in range(10):
-        f = sum(
-            (rng.randint(-3, 3) * u**i * v**j for i in range(3) for j in range(2)),
-            MultiPoly.zero(W),
-        ) + v**3
-        g = sum(
-            (rng.randint(-3, 3) * u**i * v**j for i in range(2) for j in range(2)),
-            MultiPoly.zero(W),
-        ) + u * v**2
-        a = resultant(f, g, "v", method="bareiss")
-        b = resultant(f, g, "v", method="interpolate")
-        assert a == b
-        assert a.terms == b.terms  # identical term maps, not just equal values
+    pairs = []
+    shared = 0
+    for i in range(320):
+        f = rand_bivariate(rng, rational=i % 4 == 0)
+        g = rand_bivariate(rng, rational=i % 4 == 1)
+        if i % 10 == 2 and f.degree_in("v"):
+            g = g * f  # common factor of positive degree in v
+            shared += 1
+        pairs.append((f, g))
+    pairs += [
+        (u * v**2 + v + 1, u * v + 2),  # both leading coefficients vanish at u = 0
+        (u * v**2 + 1, (u - 1) * v**3 + u),  # they vanish at different points
+        (u**2 + 3, v**2 - u),  # degree 0 in v
+        (v**3 - u, MultiPoly.const(W, Fraction(2, 3))),
+        (MultiPoly.const(W, 5), MultiPoly.const(W, 7)),
+    ]
+    zeros = 0
+    for f, g in pairs:
+        want = sylvester_resultant(f, g, "v")
+        got = resultant(f, g, "v")
+        assert got.variables == want.variables == ("u",)
+        assert got.terms == want.terms
+        zeros += got.is_zero()
+    assert zeros >= shared > 0
+
+
+def test_fermat_curve_hessian_pair_matches_oracle():
+    form = MultiPoly(("x", "y", "z"), {(6, 0, 0): 1, (0, 6, 0): 1, (0, 0, 6): 1})
+    g = linear_substitute(form, random_unimodular(random.Random(0), 3))
+    h = hessian_determinant(g)
+    g_aff, h_aff = g.dehomogenize("z"), h.dehomogenize("z")
+    got = resultant(g_aff, h_aff, "y")
+    assert got.total_degree() == 3 * 6 * 4
+    assert got.terms == sylvester_resultant(g_aff, h_aff, "y").terms
 
 
 def test_elimination_finds_projection():
@@ -112,14 +165,13 @@ def test_elimination_finds_projection():
     assert r.evaluate((1,)) != 0
 
 
-def test_three_variable_bareiss_path():
+def test_three_variables_rejected():
     W = ("u", "v", "w")
     u, v, w = (MultiPoly.var(W, n) for n in W)
-    f = u * v + w**2 + 1
-    g = v**2 - u * w
-    r = resultant(f, g, "w")
-    # Res_w of (w^2 + uv + 1, -uw + v^2): direct 3x3 determinant check
-    expected = resultant(f, g, "w", method="bareiss")
-    assert r == expected
-    # eliminating w of f and f gives 0 (common factor)
-    assert resultant(f, f * g, "w").is_zero()
+    with pytest.raises(ValueError):
+        resultant(u * v + w**2 + 1, v**2 - u * w, "w")
+    # eliminating v of f and f*g gives 0 (common factor)
+    B = ("u", "v")
+    u, v = (MultiPoly.var(B, n) for n in B)
+    f = u * v + 1
+    assert resultant(f, f * (v**2 - u), "v").is_zero()

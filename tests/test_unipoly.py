@@ -5,6 +5,8 @@ import pytest
 
 from orbitflex.exactpoly import UniPoly, ZeroPolynomialError, gcd, squarefree_decompose
 
+from helpers import gcd_prs
+
 
 def lin(root: int) -> UniPoly:
     """t - root"""
@@ -109,7 +111,7 @@ def test_large_multiplicity_structure():
 
 
 def test_modular_gcd_agrees_with_pseudo_remainder_gcd():
-    from orbitflex.exactpoly.unipoly import _gcd_modular, _gcd_prs, _primitive
+    from orbitflex.exactpoly.unipoly import _gcd_modular, _primitive
 
     rng = random.Random(97)
     for _ in range(40):
@@ -133,7 +135,7 @@ def test_modular_gcd_agrees_with_pseudo_remainder_gcd():
         f = _primitive(mul(shared, fa))
         g = _primitive(mul(shared, fb))
         got = _gcd_modular(f, g)
-        want = _gcd_prs(f, g)
+        want = gcd_prs(f, g)
         assert got == want
 
 
