@@ -20,9 +20,7 @@ from .chowcalc import (
     verify_identities,
 )
 from .exactpoly import (
-    BigRat,
     MultiPoly,
-    UniPoly,
     factor_integer,
     hessian_determinant,
     linear_substitute,

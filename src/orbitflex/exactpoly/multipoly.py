@@ -2,11 +2,14 @@
 
 A polynomial is a map from exponent vectors to nonzero coefficients:
 
-    x^2*y - 3/2*z  over ("x", "y", "z")  ->  {(2, 1, 0): 1, (0, 0, 1): -3/2}
+    x^2*y - 3/2*z  over ("x", "y", "z")  ->  {(2, 1, 0): 1, (0, 0, 1): Fraction(-3, 2)}
 
-Coefficients are ``fractions.Fraction``, so every operation is exact; there
-is no floating-point mode.  Instances are immutable: all arithmetic returns
-new objects, and values can be shared freely across threads.
+A coefficient is stored canonically: as a plain ``int`` when it is
+integral and as a ``fractions.Fraction`` only otherwise, so polynomials
+with integer coefficients are computed on Python integers throughout.
+Every operation is exact; there is no floating-point mode.  Instances are
+immutable: all arithmetic returns new objects, and values can be shared
+freely across threads.
 
 Terms are kept in no particular order internally; printing and iteration
 use graded-lexicographic order (total degree first, then lexicographic on
@@ -17,11 +20,8 @@ the expression parser.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
-
-# Exact rational scalar used for every coefficient.  Fraction already
-# guarantees the invariants we need: reduced form and positive denominator.
-BigRat = Fraction
+from math import lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -42,12 +42,23 @@ class SingularMatrixError(ValueError):
     """A linear substitution matrix is not invertible over the rationals."""
 
 
-def _as_rat(value: int | Fraction) -> Fraction:
-    if isinstance(value, Fraction):
+Coeff = int | Fraction  # canonical: a Fraction here never has denominator 1
+
+
+def _as_rat(value: int | Fraction) -> Coeff:
+    """Canonical coefficient: ``int`` when integral, else ``Fraction``."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)  # bool and other int subclasses
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+
+
+def common_denominator(values: Iterable[int | Fraction]) -> int:
+    """Least common multiple of the denominators of exact rationals."""
+    return lcm(*(v.denominator for v in values))
 
 
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -65,7 +76,7 @@ class MultiPoly:
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variable names in {vs}")
         nvars = len(vs)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Coeff] = {}
         for exps, coeff in terms.items():
             e = tuple(exps)
             if len(e) != nvars:
@@ -73,10 +84,10 @@ class MultiPoly:
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
             c = _as_rat(coeff)
-            if c != 0:
-                clean[e] = clean.get(e, Fraction(0)) + c
+            if c:
+                clean[e] = _as_rat(clean[e] + c) if e in clean else c
         object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "_terms", {e: c for e, c in clean.items() if c != 0})
+        object.__setattr__(self, "_terms", {e: c for e, c in clean.items() if c})
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -114,7 +125,7 @@ class MultiPoly:
     # ------------------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Exponent, Fraction]:
+    def terms(self) -> dict[Exponent, Coeff]:
         """Copy of the term map (exponent vector -> nonzero coefficient)."""
         return dict(self._terms)
 
@@ -127,11 +138,11 @@ class MultiPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, exps: Exponent) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Exponent) -> Coeff:
+        return self._terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * len(self.variables), Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self._terms.get((0,) * len(self.variables), 0)
 
     def total_degree(self) -> int | None:
         """Total degree, or None for the zero polynomial."""
@@ -193,7 +204,7 @@ class MultiPoly:
             return NotImplemented
         out = dict(self._terms)
         for e, c in o._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.variables, out)
 
     __radd__ = __add__
@@ -219,11 +230,11 @@ class MultiPoly:
             return NotImplemented
         if not self._terms or not o._terms:
             return MultiPoly.zero(self.variables)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for ea, ca in self._terms.items():
             for eb, cb in o._terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
+                out[e] = out.get(e, 0) + ca * cb
         return MultiPoly(self.variables, out)
 
     __rmul__ = __mul__
@@ -261,7 +272,7 @@ class MultiPoly:
     def diff(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
         i = self._var_index(var)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for e, c in self._terms.items():
             if e[i] == 0:
                 continue
@@ -270,28 +281,29 @@ class MultiPoly:
             out[tuple(d)] = c * e[i]
         return MultiPoly(self.variables, out)
 
-    def evaluate(self, values: Sequence[int | Fraction]) -> Fraction:
+    def evaluate(self, values: Sequence[int | Fraction]) -> Coeff:
         """Evaluate at a point, one value per variable."""
         vals = [_as_rat(v) for v in values]
         if len(vals) != len(self.variables):
             raise ValueError(
                 f"expected {len(self.variables)} values, got {len(vals)}"
             )
-        total = Fraction(0)
+        total = 0
         for e, c in self._terms.items():
             term = c
             for v, k in zip(vals, e):
                 if k:
                     term *= v**k
             total += term
-        return total
+        return _as_rat(total)
 
     def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute a polynomial for every variable.
 
         All images must share one variable list, which becomes the variable
-        list of the result.  Powers of each image are cached, so repeated
-        exponents cost one multiplication each.
+        list of the result.  Powers of each image are built once up to the
+        largest exponent used, and the terms are accumulated into a single
+        coefficient map.
         """
         if set(images) != set(self.variables):
             raise ValueError(
@@ -302,33 +314,31 @@ class MultiPoly:
         for im in imgs:
             if im.variables != target:
                 raise VariableMismatchError("images over differing variable lists")
-        powers: list[dict[int, MultiPoly]] = [
-            {0: MultiPoly.const(target, 1)} for _ in imgs
-        ]
-
-        def power(i: int, k: int) -> MultiPoly:
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * imgs[i]
-            return cache[k]
-
-        out = MultiPoly.zero(target)
+        powers: list[list[MultiPoly]] = []
+        for i, im in enumerate(imgs):
+            top = max((e[i] for e in self._terms), default=0)
+            row = [MultiPoly.const(target, 1)]
+            for _ in range(top):
+                row.append(row[-1] * im)
+            powers.append(row)
+        out: dict[Exponent, Coeff] = {}
         for e, c in self._terms.items():
-            term = MultiPoly.const(target, c)
-            for i, k in enumerate(e):
+            term = powers[0][e[0]]
+            for row, k in zip(powers[1:], e[1:]):
                 if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+                    term = term * row[k]
+            for te, tc in term._terms.items():
+                out[te] = out.get(te, 0) + c * tc
+        return MultiPoly(target, out)
 
     def dehomogenize(self, var: str) -> "MultiPoly":
         """Set one variable to 1, dropping it from the variable list."""
         i = self._var_index(var)
         rest = self.variables[:i] + self.variables[i + 1 :]
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for e, c in self._terms.items():
             r = e[:i] + e[i + 1 :]
-            out[r] = out.get(r, Fraction(0)) + c
+            out[r] = out.get(r, 0) + c
         return MultiPoly(rest, out)
 
     def coefficients_in(self, var: str) -> "list[MultiPoly]":
@@ -342,10 +352,10 @@ class MultiPoly:
         if not self._terms:
             return []
         top = max(e[i] for e in self._terms)
-        buckets: list[dict[Exponent, Fraction]] = [{} for _ in range(top + 1)]
+        buckets: list[dict[Exponent, Coeff]] = [{} for _ in range(top + 1)]
         for e, c in self._terms.items():
             r = e[:i] + e[i + 1 :]
-            buckets[e[i]][r] = buckets[e[i]].get(r, Fraction(0)) + c
+            buckets[e[i]][r] = buckets[e[i]].get(r, 0) + c
         return [MultiPoly(rest, b) for b in buckets]
 
     # ------------------------------------------------------------------
@@ -363,7 +373,7 @@ class MultiPoly:
         if self.is_zero():
             return MultiPoly.zero(self.variables)
         if not self.variables:
-            return MultiPoly.const((), self.constant_term() / divisor.constant_term())
+            return MultiPoly.const((), Fraction(self.constant_term(), divisor.constant_term()))
         var = self.variables[-1]
         num = self.coefficients_in(var)
         den = divisor.coefficients_in(var)
@@ -382,7 +392,7 @@ class MultiPoly:
                 num[a - b + i] = num[a - b + i] - c * dcoef
             while num and num[-1].is_zero():
                 num.pop()
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for k, coef in quot.items():
             for e, cval in coef._terms.items():
                 out[e + (k,)] = cval
@@ -390,7 +400,7 @@ class MultiPoly:
         if reordered.variables == self.variables:
             return reordered
         # Variable removed from the middle: map exponents back into place.
-        back: dict[Exponent, Fraction] = {}
+        back: dict[Exponent, Coeff] = {}
         idx = [reordered.variables.index(v) for v in self.variables]
         for e, cval in reordered._terms.items():
             back[tuple(e[i] for i in idx)] = cval
@@ -400,7 +410,7 @@ class MultiPoly:
     # Printing
     # ------------------------------------------------------------------
 
-    def sorted_terms(self) -> Iterator[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> Iterator[tuple[Exponent, Coeff]]:
         """Terms in descending graded-lexicographic order."""
         for e in sorted(self._terms, key=grlex_key, reverse=True):
             yield e, self._terms[e]
@@ -437,10 +447,6 @@ class MultiPoly:
 # ----------------------------------------------------------------------
 
 
-def differentiate(p: MultiPoly, var: str) -> MultiPoly:
-    return p.diff(var)
-
-
 def gradient(p: MultiPoly) -> list[MultiPoly]:
     return [p.diff(v) for v in p.variables]
 
@@ -470,13 +476,6 @@ def hessian_determinant(form: MultiPoly) -> MultiPoly:
     return det3(rows)
 
 
-def int_matrix_det3(m: Sequence[Sequence[int]]) -> int:
-    a, b, c = m[0]
-    d, e, f = m[1]
-    g, h, i = m[2]
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPoly:
     """Compose a ternary polynomial with an invertible linear change.
 
@@ -488,21 +487,9 @@ def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPol
     rows = [list(r) for r in matrix]
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("matrix must be 3x3")
-    if int_matrix_det3(rows) == 0:
+    if det3(rows) == 0:
         raise SingularMatrixError("substitution matrix has determinant 0")
-    vs = p.variables
-    images = {
-        v: MultiPoly(
-            vs,
-            {
-                tuple(1 if j == jj else 0 for jj in range(3)): rows[i][j]
-                for j in range(3)
-                if rows[i][j] != 0
-            },
-        )
-        for i, v in enumerate(vs)
-    }
-    return p.substitute(images)
+    return compose_linear(p, list(zip(*rows)), p.variables)
 
 
 def compose_linear(

@@ -25,11 +25,10 @@ term maps.
 from __future__ import annotations
 
 from math import factorial
-from math import gcd as int_gcd
 from typing import Sequence
 
-from .multipoly import MultiPoly
-from .unipoly import IntPoly, ZeroPolynomialError, _deg, _divexact, _pseudo_rem, _trim
+from .multipoly import MultiPoly, common_denominator
+from .unipoly import IntPoly, ZeroPolynomialError, _deg, _pseudo_rem, _trim
 
 
 def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
@@ -69,10 +68,7 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
 
 def _integer_coefficients(cs: Sequence[MultiPoly]) -> tuple[list[IntPoly], int]:
     """Dense integer coefficient lists of ``den * c`` for each c, and ``den``."""
-    den = 1
-    for c in cs:
-        for q in c.terms.values():
-            den = den * q.denominator // int_gcd(den, q.denominator)
+    den = common_denominator(q for c in cs for q in c.terms.values())
     out: list[IntPoly] = []
     for c in cs:
         dense = [0] * ((c.total_degree() or 0) + 1)
@@ -127,7 +123,7 @@ def _prs_resultant(a: IntPoly, b: IntPoly) -> int:
         r = _pseudo_rem(a, b)
         if not r:
             return 0
-        a, b = b, _divexact(r, [g * h**delta])
+        a, b = b, _divexact_scalar(r, g * h**delta)
         da, db = db, _deg(b)
         g = a[-1]
         if delta:
@@ -157,4 +153,15 @@ def _interpolate(values: Sequence[int]) -> IntPoly:
         shifted[0] += diffs[j] * weight
         coeffs = shifted
         weight *= j
-    return _divexact(_trim(coeffs), [factorial(k - 1)])
+    return _divexact_scalar(_trim(coeffs), factorial(k - 1))
+
+
+def _divexact_scalar(p: IntPoly, s: int) -> IntPoly:
+    """Divide every coefficient by the integer s; raises if not exact."""
+    out = []
+    for c in p:
+        q, r = divmod(c, s)
+        if r:
+            raise ValueError("integer polynomial division is not exact")
+        out.append(q)
+    return out

@@ -1,10 +1,11 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the integers.
 
-Coefficients are stored lowest degree first with no trailing zeros, so the
-leading coefficient of a nonzero polynomial is always nonzero.  The heavy
-lifting (gcd chains, squarefree decomposition) happens on integer
-coefficient lists after clearing denominators; rational results are
-reassembled at the boundary.
+A polynomial is an ``IntPoly``: a list of Python integers, lowest degree
+first, with no trailing zeros, so the leading coefficient of a nonzero
+polynomial is always nonzero and ``[]`` is the zero polynomial.  Callers
+with rational coefficients clear denominators first; gcds and squarefree
+factors are only defined up to a unit, and are returned primitive with a
+positive leading coefficient.
 
 The gcd of integer polynomials is computed by a small-prime modular
 algorithm with CRT reconstruction and a final divisibility check.
@@ -14,12 +15,10 @@ characteristic zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .intfactor import is_prime
-from .multipoly import MultiPoly
 
 IntPoly = list[int]  # dense, lowest degree first, no trailing zeros
 
@@ -104,14 +103,8 @@ def _divexact(num: IntPoly, den: IntPoly) -> IntPoly:
 # -- modular arithmetic ------------------------------------------------
 
 
-def _mod_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _mod_reduce(p: IntPoly, m: int) -> list[int]:
-    return _mod_trim([c % m for c in p])
+    return _trim([c % m for c in p])
 
 
 def _mod_monic_gcd(a: list[int], b: list[int], m: int) -> list[int]:
@@ -126,10 +119,10 @@ def _mod_monic_gcd(a: list[int], b: list[int], m: int) -> list[int]:
                 off = len(r) - len(bm)
                 for i, c in enumerate(bm):
                     r[off + i] = (r[off + i] - q * c) % m
-            _mod_trim(r)
+            _trim(r)
             if not r:
                 break
-        a, b = bm, _mod_trim(r)
+        a, b = bm, _trim(r)
     if not a:
         return []
     inv = pow(a[-1], m - 2, m)
@@ -238,8 +231,11 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     return a
 
 
-def gcd_int_poly(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd of integer polynomials (positive leading coefficient)."""
+def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive gcd of integer polynomials (positive leading coefficient).
+
+    The gcd of two zero polynomials is the zero polynomial ``[]``.
+    """
     f = _primitive(_trim(list(f)))
     g = _primitive(_trim(list(g)))
     if not f:
@@ -251,25 +247,29 @@ def gcd_int_poly(f: IntPoly, g: IntPoly) -> IntPoly:
     return _gcd_modular(f, g)
 
 
-def squarefree_int(f: IntPoly) -> list[tuple[int, IntPoly]]:
-    """Yun decomposition of a primitive integer polynomial.
+def squarefree_decompose(f: IntPoly) -> list[tuple[int, IntPoly]]:
+    """Yun decomposition: f = unit * prod g_i**i over the rationals.
 
-    Returns [(multiplicity, factor)] with squarefree, pairwise coprime,
-    primitive factors; multiplicities are distinct and ascending.
+    Returns [(multiplicity, g_i)] with squarefree, pairwise coprime,
+    primitive factors of positive leading coefficient; multiplicities are
+    distinct and ascending, and a constant gives [].  Raises on zero input.
     """
+    f = _primitive(_trim(list(f)))
+    if not f:
+        raise ZeroPolynomialError("cannot decompose the zero polynomial")
     if _deg(f) < 1:
         return []
     fp = _derivative(f)
-    g = gcd_int_poly(f, fp)
+    g = gcd(f, fp)
     out: list[tuple[int, IntPoly]] = []
     if _deg(g) == 0:
-        return [(1, _primitive(f))]
+        return [(1, f)]
     c = _divexact(f, g)
     d = [x - y for x, y in _pad(_divexact(fp, g), _derivative(c))]
     _trim(d)
     i = 1
     while _deg(c) > 0:
-        a = gcd_int_poly(c, d)
+        a = gcd(c, d)
         if _deg(a) > 0:
             out.append((i, a))
         c = _divexact(c, a) if _deg(a) > 0 else c
@@ -284,160 +284,3 @@ def _pad(a: IntPoly, b: IntPoly) -> Iterator[tuple[int, int]]:
     n = max(len(a), len(b))
     for i in range(n):
         yield (a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-
-
-# ----------------------------------------------------------------------
-# Rational dense polynomials
-# ----------------------------------------------------------------------
-
-
-class UniPoly:
-    """Immutable dense univariate polynomial with Fraction coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[int | Fraction]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls([])
-
-    @classmethod
-    def from_multipoly(cls, p: MultiPoly) -> "UniPoly":
-        if len(p.variables) != 1:
-            raise ValueError(f"expected one variable, got {p.variables}")
-        if p.is_zero():
-            return cls([])
-        top = max(e[0] for e in p.terms)
-        cs = [Fraction(0)] * (top + 1)
-        for e, c in p.terms.items():
-            cs[e[0]] = c
-        return cls(cs)
-
-    def to_multipoly(self, var: str = "x") -> MultiPoly:
-        return MultiPoly((var,), {(i,): c for i, c in enumerate(self.coeffs)})
-
-    @property
-    def degree(self) -> int | None:
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly([a + b for a, b in _pad(list(self.coeffs), list(other.coeffs))])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly([a - b for a, b in _pad(list(self.coeffs), list(other.coeffs))])
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other: "UniPoly | int | Fraction") -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ca in enumerate(self.coeffs):
-            if ca:
-                for j, cb in enumerate(other.coeffs):
-                    out[i + j] += ca * cb
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dd = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(0, len(rem) - dd)
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            q = rem[-1] / lead
-            k = len(rem) - 1 - dd
-            quot[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= q * c
-            rem.pop()
-        return UniPoly(quot), UniPoly(rem)
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, t: int | Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return UniPoly([c / lead for c in self.coeffs])
-
-    def primitive_int(self) -> IntPoly:
-        """Integer coefficient list after clearing denominators and content."""
-        if not self.coeffs:
-            return []
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return _primitive([int(c * den) for c in self.coeffs])
-
-    def __str__(self) -> str:
-        return str(self.to_multipoly("t"))
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self!s})"
-
-
-def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic gcd over the rationals (zero if both inputs are zero)."""
-    if f.is_zero() and g.is_zero():
-        return UniPoly([])
-    h = gcd_int_poly(f.primitive_int(), g.primitive_int())
-    return UniPoly(h).monic()
-
-
-def squarefree_decompose(f: UniPoly) -> list[tuple[int, UniPoly]]:
-    """Write f = unit * prod g_i^i with squarefree, pairwise coprime g_i.
-
-    The factors are primitive with positive leading integer coefficients;
-    the rational unit is whatever ratio remains.  Raises on zero input.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot decompose the zero polynomial")
-    return [(i, UniPoly(p)) for i, p in squarefree_int(f.primitive_int())]

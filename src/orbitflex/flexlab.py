@@ -11,10 +11,13 @@ local intersection multiplicities of the curve with its Hessian, and
 after a generic integer coordinate change those multiplicities are read
 off the squarefree decomposition of the curve-Hessian resultant.  A
 candidate profile is accepted only when (a) the resultant has the exact
-expected degree and (b) an independent second coordinate change
-reproduces it; distinct intersection points can only ever merge under a
-bad projection, so agreement of two independent projections certifies
-the profile.  The whole computation is deterministic given the seed.
+expected degree 3d(d-2), (b) no multiplicity exceeds d-2, and (c) an
+independent second coordinate change gives the same profile.  A bad
+projection can only merge distinct intersection points, so agreement of
+two projections is strong evidence for the profile but not a proof: two
+bad projections could merge fibres the same way.  After the curve is
+scaled to integer coefficients every step runs on Python integers, and
+the whole computation is deterministic given the seed.
 
 ``check_smooth`` certifies that the three partial derivatives share no
 projective zero, by eliminating one variable from two pairs of partials
@@ -33,8 +36,8 @@ from math import gcd as int_gcd
 from typing import Mapping, Sequence
 
 from .exactpoly import (
+    IntPoly,
     MultiPoly,
-    UniPoly,
     compose_linear,
     factor_integer,
     gradient,
@@ -43,6 +46,8 @@ from .exactpoly import (
     resultant,
     squarefree_decompose,
 )
+from .exactpoly.multipoly import common_denominator
+from .exactpoly.unipoly import _primitive
 from .exactpoly.unipoly import gcd as poly_gcd
 
 RETRY_BUDGET = 8
@@ -169,16 +174,23 @@ def f_sums(profile: FlexProfile) -> FlexSums:
 
 def _integer_form(p: MultiPoly) -> MultiPoly:
     """Rescale to coprime integer coefficients (profile-invariant)."""
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = {e: int(c * den) for e, c in p.terms.items()}
-    content = 0
-    for v in ints.values():
-        content = int_gcd(content, abs(v))
+    terms = p.terms
+    den = common_denominator(terms.values())
+    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    content = int_gcd(*ints.values())
     if content > 1:
         ints = {e: v // content for e, v in ints.items()}
     return MultiPoly(p.variables, ints)
+
+
+def _int_poly(p: MultiPoly) -> IntPoly:
+    """Primitive integer coefficient list of a univariate polynomial."""
+    if p.is_zero():
+        return []
+    dense = [0] * (p.total_degree() + 1)
+    for (e,), c in _integer_form(p).terms.items():
+        dense[e] = c
+    return _primitive(dense)
 
 
 def random_unimodular(rng: random.Random, bound: int) -> list[list[int]]:
@@ -216,13 +228,9 @@ def _apply_matrix(m: Sequence[Sequence[int]], v: Sequence[Fraction]) -> Point:
 
 
 def _normalize_point(v: Sequence[Fraction]) -> Point:
-    den = 1
-    for c in v:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in v]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, abs(c))
+    den = common_denominator(v)
+    ints = [c.numerator * (den // c.denominator) for c in v]
+    g = int_gcd(*ints)
     if g > 1:
         ints = [c // g for c in ints]
     lead = next((c for c in ints if c != 0), 1)
@@ -321,30 +329,27 @@ def _binary_common_roots(
     roots found, as (x0, y0) pairs -- possibly empty when every common
     root is irrational.
     """
-    u1 = UniPoly.from_multipoly(r1)
-    u2 = UniPoly.from_multipoly(r2)
-    val1 = next(i for i, cc in enumerate(u1.coeffs) if cc != 0)
-    val2 = next(i for i, cc in enumerate(u2.coeffs) if cc != 0)
-    core1 = UniPoly(u1.coeffs[val1:])
-    core2 = UniPoly(u2.coeffs[val2:])
-    g = poly_gcd(core1, core2)
+    u1 = _int_poly(r1)
+    u2 = _int_poly(r2)
+    val1 = next(i for i, cc in enumerate(u1) if cc != 0)
+    val2 = next(i for i, cc in enumerate(u2) if cc != 0)
+    g = poly_gcd(u1[val1:], u2[val2:])
     root_at_zero = val1 > 0 and val2 > 0
-    root_at_infinity = (u1.degree or 0) < deg1 and (u2.degree or 0) < deg2
-    if g.degree == 0 and not root_at_zero and not root_at_infinity:
+    root_at_infinity = len(u1) - 1 < deg1 and len(u2) - 1 < deg2
+    if len(g) == 1 and not root_at_zero and not root_at_infinity:
         return None
     found: list[tuple[Fraction, Fraction]] = []
     if root_at_zero:
         found.append((Fraction(0), Fraction(1)))
     if root_at_infinity:
         found.append((Fraction(1), Fraction(0)))
-    if g.degree and g.degree > 0:
+    if len(g) > 1:
         found.extend((t, Fraction(1)) for t in _rational_roots(g))
     return found
 
 
-def _rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots of p, by the rational root test."""
-    ints = p.primitive_int()
+def _rational_roots(ints: IntPoly) -> list[Fraction]:
+    """All rational roots of a nonzero integer polynomial (rational root test)."""
     roots: list[Fraction] = []
     val = next(i for i, c in enumerate(ints) if c != 0)
     if val > 0:
@@ -364,9 +369,19 @@ def _rational_roots(p: UniPoly) -> list[Fraction]:
                 if cand in seen:
                     continue
                 seen.add(cand)
-                if UniPoly(ints).evaluate(cand) == 0:
+                if _vanishes_at(ints, cand.numerator, cand.denominator):
                     roots.append(cand)
     return roots
+
+
+def _vanishes_at(p: IntPoly, a: int, q: int) -> bool:
+    """Whether p(a/q) = 0, tested as sum p[i] * a**i * q**(n-i) = 0."""
+    acc = 0
+    scale = 1
+    for c in reversed(p):
+        acc = acc * a + c * scale
+        scale *= q
+    return acc == 0
 
 
 def _divisors(n: int, cap: int = 4096) -> list[int] | None:
@@ -390,14 +405,14 @@ def _find_rational_witness(
                 "y": MultiPoly.const(("z",), y0),
                 "z": zvar,
             }
-            fibers.append(UniPoly.from_multipoly(p.substitute(images)))
-        if all(fib.is_zero() for fib in fibers):
+            fibers.append(_int_poly(p.substitute(images)))
+        if not any(fibers):
             # Partials vanish along the whole line; pick any point on it.
             return (x0, y0, Fraction(0))
-        h = UniPoly([])
+        h: IntPoly = []
         for fib in fibers:
             h = poly_gcd(h, fib)
-        if h.degree == 0:
+        if len(h) == 1:
             continue
         for z0 in _rational_roots(h):
             point = (x0, y0, z0)
@@ -492,9 +507,8 @@ def _profile_once(
     if res.degree_in("x") != target:
         return None
     counts: dict[int, int] = {}
-    for mult, factor in squarefree_decompose(UniPoly.from_multipoly(res)):
-        deg = factor.degree or 0
+    for mult, factor in squarefree_decompose(_int_poly(res)):
         if mult > d - 2:
             return None  # merged fibers; not a generic projection
-        counts[mult] = counts.get(mult, 0) + deg
+        counts[mult] = counts.get(mult, 0) + len(factor) - 1
     return counts

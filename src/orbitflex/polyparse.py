@@ -173,7 +173,10 @@ def parse_expression(text: str) -> MultiPoly:
     if not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text))
-    poly = parser.expr()
+    try:
+        poly = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
     end = parser.peek()
     if end.kind != "end":
         raise ParseError(f"unexpected {end.value!r} after expression", end.pos)

@@ -60,6 +60,10 @@ def test_syntax_error_exit_code(capsys):
     code, _, err = run(capsys, "flexes", "x^3 + ")
     assert code == 2
     assert "position" in err
+    for text in ["(" * 2000 + "x^3+y^3+z^3" + ")" * 2000, "x^3 + " + "-" * 5000 + "y^3+z^3"]:
+        code, out, err = run(capsys, "flexes", text)
+        assert (code, out) == (2, "")
+        assert err == "input error: expression nested too deeply (at position 0)\n"
 
 
 def test_non_homogeneous_exit_code(capsys):

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitflex.exactpoly import MultiPoly, int_matrix_det3
+from orbitflex.exactpoly import MultiPoly, det3, linear_substitute
 from orbitflex.flexlab import (
     FlexProfile,
     FlexSums,
     PlaneCurve,
+    INITIAL_BOUND,
     PointNotOnCurveError,
     SingularCurveError,
     check_smooth,
@@ -221,7 +224,7 @@ def test_random_unimodular_determinant():
     rng = random.Random(61)
     for _ in range(200):
         m = random_unimodular(rng, rng.choice([3, 6, 12]))
-        assert int_matrix_det3(m) in (1, -1)
+        assert det3(m) in (1, -1)
 
 
 def test_whole_conic_of_singular_points():
@@ -305,3 +308,16 @@ def test_degree_seven_families():
     assert flex_profile(curve("x^7 + y^7 + z^7")).counts == {5: 21}
     prof = flex_profile(curve("x^6*y + y^6*z + z^6*x"))
     assert prof.counts == {4: 3, 1: 93}
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(
+    d=st.integers(3, 5),
+    curve_seed=st.integers(0, 2**32 - 1),
+    matrix_seed=st.integers(0, 2**32 - 1),
+)
+def test_profile_invariant_under_unimodular_change(d, curve_seed, matrix_seed):
+    form = random_smooth_curve(random.Random(curve_seed), d).form
+    m = random_unimodular(random.Random(matrix_seed), INITIAL_BOUND)
+    moved = linear_substitute(form, m)
+    assert flex_profile(check_smooth(moved)) == flex_profile(check_smooth(form))

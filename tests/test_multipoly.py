@@ -9,6 +9,7 @@ from orbitflex.exactpoly import (
     SingularMatrixError,
     VariableMismatchError,
     compose_linear,
+    det3,
     hessian_determinant,
     linear_substitute,
 )
@@ -162,14 +163,42 @@ def test_canonical_string_ordering():
 
 def test_hessian_transforms_covariantly():
     # Hess(F o M) = det(M)^2 * Hess(F) o M
-    from orbitflex.exactpoly import int_matrix_det3
-
     rng = random.Random(101)
     m = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
-    det = int_matrix_det3(m)
+    det = det3(m)
     assert det == 3
     for _ in range(5):
         F = random_homogeneous(rng, rng.randint(2, 4))
         lhs = hessian_determinant(linear_substitute(F, m))
         rhs = det**2 * linear_substitute(hessian_determinant(F), m)
         assert lhs == rhs
+
+
+def test_integral_coefficients_stay_int():
+    from orbitflex.exactpoly import gradient, resultant
+    from orbitflex.flexlab import check_smooth, flex_profile
+
+    def all_int(p):
+        return all(type(c) is int for c in p.terms.values())
+
+    assert MultiPoly.const(V, Fraction(6, 3)).terms == {(0, 0, 0): 2}
+    assert type(MultiPoly.const(V, Fraction(6, 3)).constant_term()) is int
+    assert type(MultiPoly.monomial(V, (1, 0, 0), True).coefficient((1, 0, 0))) is int
+    assert all_int(MultiPoly.const(V, Fraction(1, 2)) * 2 * X + Y)
+    with pytest.raises(TypeError):
+        MultiPoly.const(V, 1.0)
+    with pytest.raises(TypeError):
+        MultiPoly(V, {(1, 0, 0): 0.5})
+
+    F = X**4 + X * Y**3 + Y * Z**3
+    G = linear_substitute(F, [[1, 2, -1], [0, 1, 3], [1, 0, 1]])
+    H = hessian_determinant(G)
+    R = resultant(G.dehomogenize("z"), H.dehomogenize("z"), "y")
+    for p in [G, H, R, *gradient(G)]:
+        assert not p.is_zero() and all_int(p)
+
+    rational = MultiPoly(V, {(4, 0, 0): Fraction(1, 2), (1, 3, 0): Fraction(1, 3),
+                             (0, 1, 3): Fraction(5, 7)})
+    integral = 42 * rational
+    assert all_int(integral) and not all_int(rational)
+    assert flex_profile(check_smooth(rational)) == flex_profile(check_smooth(integral))

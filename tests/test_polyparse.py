@@ -72,6 +72,7 @@ def test_binary_minus_not_swallowed_by_juxtaposition():
 
 def test_parenthesized_powers():
     assert parse_expression("(x+y)^2") == (X + Y) ** 2
+    assert parse_expression("(" * 100 + "x" + ")" * 100) == X
 
 
 def test_unknown_variable_with_position():
@@ -81,7 +82,10 @@ def test_unknown_variable_with_position():
 
 
 def test_syntax_errors_carry_position():
-    for text, pos in [("x^^3", 2), ("x^3 + ", 6), ("(x+y", 4), ("x/y", 1)]:
+    cases = [("x^^3", 2), ("x^3 + ", 6), ("(x+y", 4), ("x/y", 1),
+             # nested too deeply: parentheses, then a chain of unary minus
+             ("(" * 2000 + "x" + ")" * 2000, 0), ("x + " + "-" * 5000 + "y", 0)]
+    for text, pos in cases:
         with pytest.raises(ParseError) as err:
             parse_expression(text)
         assert err.value.position == pos
