@@ -23,6 +23,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .unipoly import _pack, _unpack
+
 Exponent = tuple[int, ...]
 
 
@@ -465,15 +467,44 @@ def hessian_determinant(form: MultiPoly) -> MultiPoly:
     The input must be homogeneous of degree >= 2 in exactly three
     variables; the result is homogeneous of degree 3*(d - 2), or zero when
     the second-derivative matrix is everywhere rank-deficient.
+
+    The determinant is taken on packed integers (Kronecker substitution).
+    Denominators are cleared once, as hess(D*F) = D**3 * hess(F).  A
+    second partial, of degree e = d - 2, packs its terms c*x**i*y**j*z**k
+    as c * 2**(b * (i*(3e+1) + j)), so the determinant's monomials get
+    distinct slots.  Its coefficients are at most 6*M**3 in absolute value,
+    M the largest 1-norm of a second partial, so with 2**(b-1) > 12*M**3
+    the balanced base-2**b digits of the packed cofactor determinant are
+    its coefficients, up to the sign of the whole.
     """
     if len(form.variables) != 3:
         raise ValueError(f"expected a ternary form, got variables {form.variables}")
     d = form.homogeneous_degree()
     if d < 2:
         raise ValueError(f"form degree must be at least 2, got {d}")
-    firsts = [form.diff(v) for v in form.variables]
-    rows = [[fi.diff(v) for v in form.variables] for fi in firsts]
-    return det3(rows)
+    den = common_denominator(form._terms.values())
+    form, vs = form * den, form.variables
+    firsts = [form.diff(v) for v in vs]
+    seconds = {(r, c): firsts[r].diff(vs[c]) for r in range(3) for c in range(r, 3)}
+    norm = max(sum(map(abs, p._terms.values())) for p in seconds.values())
+    b = (12 * norm**3).bit_length() + 1
+    e = d - 2
+    width = 3 * e + 1
+    packed = {}
+    for rc, p in seconds.items():
+        dense = [0] * (e * width + 1)
+        for (i, j, _), c in p._terms.items():
+            dense[i * width + j] = c
+        packed[rc] = _pack(dense, b)
+    det = det3([[packed[min(r, c), max(r, c)] for c in range(3)] for r in range(3)])
+    sign = -1 if det < 0 else 1
+    scale = sign if den == 1 else Fraction(sign, den**3)
+    out = {}
+    for slot, c in enumerate(_unpack(abs(det), b)):
+        if c:
+            i, j = divmod(slot, width)
+            out[i, j, 3 * e - i - j] = c * scale
+    return MultiPoly(vs, out)
 
 
 def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPoly:

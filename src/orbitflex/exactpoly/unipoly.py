@@ -7,18 +7,19 @@ with rational coefficients clear denominators first; gcds and squarefree
 factors are only defined up to a unit, and are returned primitive with a
 positive leading coefficient.
 
-The gcd of integer polynomials is computed by a small-prime modular
-algorithm with CRT reconstruction and a final divisibility check.
+The gcd of integer polynomials is the heuristic gcd GCDHEU (Char, Geddes
+& Gonnet 1989; Liao & Fateman 1995): both polynomials are packed into
+integers at a power of two, one big-integer gcd is taken, and its digits
+are accepted once they divide both inputs.  Coprime inputs, the common
+case, are recognised first by one Euclidean gcd modulo a prime.
 Squarefree decomposition is the derivative-gcd recursion of Yun, valid in
 characteristic zero.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd as int_gcd
-from typing import Iterator
-
-from .intfactor import is_prime
 
 IntPoly = list[int]  # dense, lowest degree first, no trailing zeros
 
@@ -65,15 +66,8 @@ def _derivative(p: IntPoly) -> IntPoly:
     return _trim([i * c for i, c in enumerate(p)][1:])
 
 
-def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
+def _sub(a: IntPoly, b: IntPoly) -> IntPoly:
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _divexact(num: IntPoly, den: IntPoly) -> IntPoly:
@@ -120,82 +114,11 @@ def _mod_monic_gcd(a: list[int], b: list[int], m: int) -> list[int]:
                 for i, c in enumerate(bm):
                     r[off + i] = (r[off + i] - q * c) % m
             _trim(r)
-            if not r:
-                break
         a, b = bm, _trim(r)
     if not a:
         return []
     inv = pow(a[-1], m - 2, m)
     return [(c * inv) % m for c in a]
-
-
-_PRIME_CACHE: list[int] = []
-_PRIME_NEXT = [(1 << 31) - 1]
-
-
-def _prime_pool() -> Iterator[int]:
-    i = 0
-    while True:
-        while i >= len(_PRIME_CACHE):
-            n = _PRIME_NEXT[0]
-            while not is_prime(n):
-                n -= 2
-            _PRIME_CACHE.append(n)
-            _PRIME_NEXT[0] = n - 2
-        yield _PRIME_CACHE[i]
-        i += 1
-
-
-def _sym(c: int, m: int) -> int:
-    c %= m
-    return c - m if c > m // 2 else c
-
-
-def _gcd_modular(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd of primitive integer polynomials."""
-    lead_gcd = int_gcd(f[-1], g[-1])
-    best_deg: int | None = None
-    combined: list[int] = []
-    modulus = 1
-    stable = 0
-    for p in _prime_pool():
-        if f[-1] % p == 0 or g[-1] % p == 0:
-            continue
-        hp = _mod_monic_gcd(_mod_reduce(f, p), _mod_reduce(g, p), p)
-        d = len(hp) - 1
-        if d == 0:
-            return [1]
-        if best_deg is None or d < best_deg:
-            best_deg = d
-            scaled = [(c * lead_gcd) % p for c in hp]
-            combined = list(scaled)
-            modulus = p
-            stable = 0
-        elif d > best_deg:
-            continue  # unlucky prime
-        else:
-            prev = list(combined)
-            inv = pow(modulus % p, p - 2, p)
-            new: list[int] = []
-            scaled = [(c * lead_gcd) % p for c in hp]
-            for i in range(best_deg + 1):
-                a = combined[i] if i < len(combined) else 0
-                b = scaled[i] if i < len(scaled) else 0
-                t = ((b - a) * inv) % p
-                new.append(a + modulus * t)
-            modulus *= p
-            combined = new
-            if [_sym(c, modulus) for c in combined] == [
-                _sym(c, modulus // p) for c in prev
-            ]:
-                stable += 1
-            else:
-                stable = 0
-        if stable >= 1:
-            candidate = _primitive(_trim([_sym(c, modulus) for c in combined]))
-            if candidate and _divides(candidate, f) and _divides(candidate, g):
-                return candidate
-            stable = 0
 
 
 def _divides(d: IntPoly, p: IntPoly) -> bool:
@@ -204,6 +127,58 @@ def _divides(d: IntPoly, p: IntPoly) -> bool:
     except ValueError:
         return False
     return True
+
+
+# -- heuristic gcd -----------------------------------------------------
+
+_EXIT_PRIME = (1 << 31) - 1
+
+
+def _pack(p: IntPoly, b: int) -> int:
+    """p(2**b), by shifts."""
+    acc = 0
+    for c in reversed(p):
+        acc = (acc << b) + c
+    return acc
+
+
+def _unpack(n: int, b: int) -> IntPoly:
+    """The polynomial whose coefficients are the balanced base-2**b digits
+    of n >= 0, each in [-2**(b-1), 2**(b-1))."""
+    mask = (1 << b) - 1
+    half = 1 << (b - 1)
+    out: IntPoly = []
+    while n:
+        c = n & mask
+        n >>= b
+        if c >= half:
+            c -= 1 << b
+            n += 1
+        out.append(c)
+    return out
+
+
+def _gcd_heuristic(f: IntPoly, g: IntPoly) -> IntPoly:
+    """Primitive gcd of primitive nonconstant integer polynomials (GCDHEU).
+
+    At xi = 2**b > 2m + 2, with m the smaller max norm of f and g, the
+    candidate h is the primitive part of the polynomial h0 whose
+    coefficients are the balanced base-xi digits of gcd(f(xi), g(xi))
+    (Char, Geddes & Gonnet 1989).  A candidate that divides both f and g
+    is the gcd G: otherwise G = h*k with deg k >= 1, and k(xi) divides
+    cont(h0) < xi/2, while every root of k is a root of f and of g, below
+    1 + m in modulus, so |k(xi)| > xi - 1 - m > xi/2.  A rejected
+    candidate grows b by half.  The loop ends: gcd(f(xi), g(xi)) =
+    gamma * |G(xi)| where gamma divides Res(f/G, g/G), which is nonzero
+    and does not depend on xi, so once xi > 2 |Res(f/G, g/G) G| the
+    digits are the coefficients of +-gamma*G and h = G.
+    """
+    b = (2 * min(max(map(abs, f)), max(map(abs, g))) + 2).bit_length()
+    while True:
+        h = _primitive(_unpack(int_gcd(_pack(f, b), _pack(g, b)), b))
+        if _divides(h, f) and _divides(h, g):
+            return h
+        b += b // 2
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -234,17 +209,21 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd of integer polynomials (positive leading coefficient).
 
-    The gcd of two zero polynomials is the zero polynomial ``[]``.
+    The gcd of two zero polynomials is the zero polynomial ``[]``.  When
+    p = 2**31 - 1 does not divide lc(f), a common factor G over Z keeps
+    its degree mod p (lc(G) divides lc(f)), so a trivial gcd mod p proves
+    a trivial gcd over Q.
     """
     f = _primitive(_trim(list(f)))
     g = _primitive(_trim(list(g)))
-    if not f:
-        return g
-    if not g:
-        return f
+    if not f or not g:
+        return f or g
     if _deg(f) == 0 or _deg(g) == 0:
         return [1]
-    return _gcd_modular(f, g)
+    p = _EXIT_PRIME
+    if f[-1] % p and _deg(_mod_monic_gcd(_mod_reduce(f, p), _mod_reduce(g, p), p)) == 0:
+        return [1]
+    return _gcd_heuristic(f, g)
 
 
 def squarefree_decompose(f: IntPoly) -> list[tuple[int, IntPoly]]:
@@ -261,26 +240,15 @@ def squarefree_decompose(f: IntPoly) -> list[tuple[int, IntPoly]]:
         return []
     fp = _derivative(f)
     g = gcd(f, fp)
-    out: list[tuple[int, IntPoly]] = []
-    if _deg(g) == 0:
-        return [(1, f)]
     c = _divexact(f, g)
-    d = [x - y for x, y in _pad(_divexact(fp, g), _derivative(c))]
-    _trim(d)
+    d = _sub(_divexact(fp, g), _derivative(c))
+    out: list[tuple[int, IntPoly]] = []
     i = 1
     while _deg(c) > 0:
         a = gcd(c, d)
         if _deg(a) > 0:
             out.append((i, a))
-        c = _divexact(c, a) if _deg(a) > 0 else c
-        d = _divexact(d, a) if _deg(a) > 0 else d
-        d = [x - y for x, y in _pad(d, _derivative(c))]
-        _trim(d)
+            c, d = _divexact(c, a), _divexact(d, a)
+        d = _sub(d, _derivative(c))
         i += 1
     return out
-
-
-def _pad(a: IntPoly, b: IntPoly) -> Iterator[tuple[int, int]]:
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)

@@ -8,8 +8,16 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
-from orbitflex.exactpoly import MultiPoly
-from orbitflex.exactpoly.unipoly import _deg, _primitive, _pseudo_rem
+from orbitflex.exactpoly import MultiPoly, det3, is_prime
+from orbitflex.exactpoly.unipoly import (
+    _deg,
+    _divides,
+    _mod_monic_gcd,
+    _mod_reduce,
+    _primitive,
+    _pseudo_rem,
+    _trim,
+)
 from orbitflex.flexlab import PlaneCurve, SingularCurveError, check_smooth
 
 CURVE_VARS = ("x", "y", "z")
@@ -165,3 +173,56 @@ def gcd_prs(f: list[int], g: list[int]) -> list[int]:
         r = _primitive(_pseudo_rem(a, b))
         a, b = b, r
     return _primitive(a)
+
+
+def _sym(c: int, m: int) -> int:
+    c %= m
+    return c - m if c > m // 2 else c
+
+
+def gcd_multimodular(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd of integer polynomials by a small-prime modular
+    algorithm: monic gcds modulo primes below 2**31, combined by CRT until
+    the symmetric lift is stable and divides both inputs."""
+    f, g = _primitive(_trim(list(f))), _primitive(_trim(list(g)))
+    if not f or not g:
+        return f or g
+    if _deg(f) == 0 or _deg(g) == 0:
+        return [1]
+    lead_gcd = gcd(f[-1], g[-1])
+    best_deg: int | None = None
+    combined: list[int] = []
+    modulus = 1
+    p = 1 << 31
+    while True:
+        p -= 1
+        if not is_prime(p) or f[-1] % p == 0 or g[-1] % p == 0:
+            continue
+        hp = _mod_monic_gcd(_mod_reduce(f, p), _mod_reduce(g, p), p)
+        d = len(hp) - 1
+        if d == 0:
+            return [1]
+        scaled = [(c * lead_gcd) % p for c in hp]
+        if best_deg is None or d < best_deg:
+            best_deg, combined, modulus = d, scaled, p
+            continue
+        if d > best_deg:
+            continue  # unlucky prime
+        prev = [_sym(c, modulus) for c in combined]
+        inv = pow(modulus % p, p - 2, p)
+        combined = [
+            a + modulus * (((b - a) * inv) % p) for a, b in zip(combined, scaled)
+        ]
+        modulus *= p
+        if [_sym(c, modulus) for c in combined] != prev:
+            continue
+        candidate = _primitive(_trim([_sym(c, modulus) for c in combined]))
+        if _divides(candidate, f) and _divides(candidate, g):
+            return candidate
+
+
+def hessian_cofactor(form: MultiPoly) -> MultiPoly:
+    """Hessian determinant of a ternary form by cofactor expansion of the
+    matrix of second partials, multiplied out as ``MultiPoly``s."""
+    firsts = [form.diff(v) for v in form.variables]
+    return det3([[fi.diff(v) for v in form.variables] for fi in firsts])

@@ -13,7 +13,7 @@ from orbitflex.exactpoly import (
     hessian_determinant,
     linear_substitute,
 )
-from helpers import CURVE_VARS, random_homogeneous, random_multipoly
+from helpers import CURVE_VARS, hessian_cofactor, random_homogeneous, random_multipoly
 
 V = CURVE_VARS
 X = MultiPoly.var(V, "x")
@@ -172,6 +172,34 @@ def test_hessian_transforms_covariantly():
         lhs = hessian_determinant(linear_substitute(F, m))
         rhs = det**2 * linear_substitute(hessian_determinant(F), m)
         assert lhs == rhs
+
+
+def test_hessian_matches_cofactor_oracle():
+    rng = random.Random(61)
+    forms = []
+    for d in range(2, 11):
+        for bound in (1, 9, 10**30):
+            form = random_homogeneous(rng, d, coeff_range=bound)
+            if not form.is_zero():
+                forms.append(form)
+    forms += [
+        # rational coefficients
+        MultiPoly(V, {(4, 0, 0): Fraction(1, 2), (1, 3, 0): Fraction(-1, 3),
+                      (0, 1, 3): Fraction(5, 7), (2, 1, 1): 3}),
+        X**3 + Fraction(2, 9) * Y**2 * Z - Fraction(4, 15) * X * Y * Z,
+        # Hessian matrices +-[[2, 2, 2], [2, -2, 2], [2, 2, -2]], determinant
+        # +-4 * M**3 = +-32 with M = 2: a packing two bits narrower overflows
+        X**2 - Y**2 - Z**2 + 2 * X * Y + 2 * X * Z + 2 * Y * Z,
+        -(X**2) + Y**2 + Z**2 - 2 * X * Y - 2 * X * Z - 2 * Y * Z,
+        # zero Hessians: a triple line and a cone
+        X**3,
+        (X + Y) ** 4,
+        # a dense Fermat form of degree 12
+        linear_substitute(X**12 + Y**12 + Z**12, [[1, 2, -1], [0, 1, 3], [1, 0, 1]]),
+    ]
+    for form in forms:
+        want = hessian_cofactor(form)
+        assert hessian_determinant(form).terms == want.terms, form
 
 
 def test_integral_coefficients_stay_int():

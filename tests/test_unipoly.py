@@ -3,9 +3,12 @@ import random
 import pytest
 
 from orbitflex.exactpoly import ZeroPolynomialError, gcd, squarefree_decompose
-from orbitflex.exactpoly.unipoly import _gcd_modular, _primitive
+from orbitflex.exactpoly import unipoly
+from orbitflex.exactpoly.unipoly import _divides, _primitive
 
-from helpers import gcd_prs
+from helpers import gcd_multimodular, gcd_prs
+
+P = unipoly._EXIT_PRIME  # 2**31 - 1, the prime of gcd's coprimality exit
 
 
 def lin(root: int) -> list[int]:
@@ -106,22 +109,79 @@ def test_large_multiplicity_structure():
 
 def test_modular_gcd_agrees_with_pseudo_remainder_gcd():
     rng = random.Random(97)
-    for _ in range(40):
-        shared = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))] + [
-            rng.randint(1, 9)
-        ]
-        fa = [rng.randint(-50, 50) for _ in range(rng.randint(1, 5))] + [
-            rng.randint(1, 50)
-        ]
-        fb = [rng.randint(-50, 50) for _ in range(rng.randint(1, 5))] + [
-            rng.randint(1, 50)
+
+    def rand_poly(deg: int, bound: int) -> list[int]:
+        return [rng.randint(-bound, bound) for _ in range(deg)] + [
+            rng.choice([-1, 1]) * rng.randint(1, bound)
         ]
 
-        f = _primitive(mul(shared, fa))
-        g = _primitive(mul(shared, fb))
-        got = _gcd_modular(f, g)
-        want = gcd_prs(f, g)
-        assert got == want
+    def with_shared(shared: list[int], deg: int, bound: int) -> tuple:
+        f = mul(shared, rand_poly(rng.randint(0, deg), bound))
+        return f, mul(shared, rand_poly(rng.randint(0, deg), bound))
+
+    pairs = [with_shared(rand_poly(rng.randint(0, 3), 9), 5, 50) for _ in range(40)]
+    pairs += [  # large common factors
+        with_shared(rand_poly(rng.randint(1, 20), 10**40), 6, 10 ** rng.randint(1, 40))
+        for _ in range(20)
+    ]
+    pairs += [  # coprime with overwhelming probability
+        with_shared([1], 12, 10**20) for _ in range(20)
+    ]
+    pairs += [
+        # coprime over Q, equal mod P
+        ([0, 1], [-P, 1]),
+        ([1, 0, 1], [1 + P, 0, 1]),
+        (mul([3, 1], [0, 1]), mul([3, 1], [-P, 1])),
+        # P divides a leading coefficient
+        ([1, P], [1, 1]),
+        ([1, 1], [1, P]),
+        (mul([3, P], [5, 2, 1]), mul([-1, 7], [5, 2, 1])),
+        (mul([1, P], [2, 1]), mul([1, 5 * P], [2, 1])),
+        (mul([1, P], [1, 1]), mul([1, P], [2, 1])),  # the gcd vanishes mod P
+        # constants and zero
+        ([], []),
+        ([], [4, -6, 2]),
+        ([-3, 0, 9], []),
+        ([6], [4]),
+        ([-7], [1, 2, 1]),
+        ([1, 2, 1], [12]),
+    ]
+    for f, g in pairs:
+        got = gcd(f, g)
+        assert got == gcd_prs(f, g) == gcd_multimodular(f, g), (f, g)
+
+
+def test_pack_unpack_round_trip():
+    # balanced digits in [-2**(b-1), 2**(b-1)), the top one positive
+    rng = random.Random(5)
+    for b in (2, 3, 8, 64, 200):
+        half = 1 << (b - 1)
+        for _ in range(20):
+            digits = [-half, -1, 0, 1, half - 1, rng.randrange(-half, half)]
+            p = rng.choices(digits, k=rng.randint(0, 8)) + [rng.randint(1, half - 1)]
+            assert unipoly._unpack(unipoly._pack(p, b), b) == p
+        # a digit +2**(b-1) has the same value as -2**(b-1) plus a carry
+        assert unipoly._pack([half, 0, 1], b) == unipoly._pack([-half, 1, 1], b)
+        assert unipoly._unpack(unipoly._pack([1, half, 0, 1], b), b) == [1, -half, 1, 1]
+
+
+def test_heuristic_gcd_retries_after_a_false_candidate(monkeypatch):
+    # f = g mod P, so the coprimality exit cannot prove f, g coprime.  At
+    # the first point xi = 8, gcd(f(8), g(8)) = 10 has the digits of x + 2,
+    # which divides f but not g; at xi = 16 the gcd is 2, whose primitive
+    # part is 1.
+    f, g = [2, 1], [2 + 10 * P, 1]
+    candidates = []
+    unpack = unipoly._unpack
+
+    def spy(n: int, b: int) -> list[int]:
+        candidates.append(unpack(n, b))
+        return candidates[-1]
+
+    monkeypatch.setattr(unipoly, "_unpack", spy)
+    assert gcd(f, g) == [1]
+    assert candidates == [[2, 1], [2]]
+    assert _divides(candidates[0], f) and not _divides(candidates[0], g)
 
 
 def test_modular_gcd_huge_coefficients():
