@@ -473,7 +473,7 @@ def hessian_determinant(form: MultiPoly) -> MultiPoly:
     second partial, of degree e = d - 2, packs its terms c*x**i*y**j*z**k
     as c * 2**(b * (i*(3e+1) + j)), so the determinant's monomials get
     distinct slots.  Its coefficients are at most 6*M**3 in absolute value,
-    M the largest 1-norm of a second partial, so with 2**(b-1) > 12*M**3
+    M the largest 1-norm of a second partial, so with 2**(b-1) > 6*M**3
     the balanced base-2**b digits of the packed cofactor determinant are
     its coefficients, up to the sign of the whole.
     """
@@ -487,7 +487,7 @@ def hessian_determinant(form: MultiPoly) -> MultiPoly:
     firsts = [form.diff(v) for v in vs]
     seconds = {(r, c): firsts[r].diff(vs[c]) for r in range(3) for c in range(r, 3)}
     norm = max(sum(map(abs, p._terms.values())) for p in seconds.values())
-    b = (12 * norm**3).bit_length() + 1
+    b = (6 * norm**3).bit_length() + 1
     e = d - 2
     width = 3 * e + 1
     packed = {}

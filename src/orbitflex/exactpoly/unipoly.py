@@ -10,10 +10,8 @@ positive leading coefficient.
 The gcd of integer polynomials is the heuristic gcd GCDHEU (Char, Geddes
 & Gonnet 1989; Liao & Fateman 1995): both polynomials are packed into
 integers at a power of two, one big-integer gcd is taken, and its digits
-are accepted once they divide both inputs.  Coprime inputs, the common
-case, are recognised first by one Euclidean gcd modulo a prime.
-Squarefree decomposition is the derivative-gcd recursion of Yun, valid in
-characteristic zero.
+are accepted once they divide both inputs.  Squarefree decomposition is
+the derivative-gcd recursion of Yun, valid in characteristic zero.
 """
 
 from __future__ import annotations
@@ -94,33 +92,6 @@ def _divexact(num: IntPoly, den: IntPoly) -> IntPoly:
     return _trim(quot)
 
 
-# -- modular arithmetic ------------------------------------------------
-
-
-def _mod_reduce(p: IntPoly, m: int) -> list[int]:
-    return _trim([c % m for c in p])
-
-
-def _mod_monic_gcd(a: list[int], b: list[int], m: int) -> list[int]:
-    """Monic gcd over GF(m) by the Euclidean algorithm."""
-    while b:
-        inv = pow(b[-1], m - 2, m)
-        bm = [(c * inv) % m for c in b]
-        r = list(a)
-        while len(r) >= len(bm) and r:
-            q = r[-1] % m
-            if q:
-                off = len(r) - len(bm)
-                for i, c in enumerate(bm):
-                    r[off + i] = (r[off + i] - q * c) % m
-            _trim(r)
-        a, b = bm, _trim(r)
-    if not a:
-        return []
-    inv = pow(a[-1], m - 2, m)
-    return [(c * inv) % m for c in a]
-
-
 def _divides(d: IntPoly, p: IntPoly) -> bool:
     try:
         _divexact(p, d)
@@ -130,8 +101,6 @@ def _divides(d: IntPoly, p: IntPoly) -> bool:
 
 
 # -- heuristic gcd -----------------------------------------------------
-
-_EXIT_PRIME = (1 << 31) - 1
 
 
 def _pack(p: IntPoly, b: int) -> int:
@@ -209,19 +178,13 @@ def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd of integer polynomials (positive leading coefficient).
 
-    The gcd of two zero polynomials is the zero polynomial ``[]``.  When
-    p = 2**31 - 1 does not divide lc(f), a common factor G over Z keeps
-    its degree mod p (lc(G) divides lc(f)), so a trivial gcd mod p proves
-    a trivial gcd over Q.
+    The gcd of two zero polynomials is the zero polynomial ``[]``.
     """
     f = _primitive(_trim(list(f)))
     g = _primitive(_trim(list(g)))
     if not f or not g:
         return f or g
     if _deg(f) == 0 or _deg(g) == 0:
-        return [1]
-    p = _EXIT_PRIME
-    if f[-1] % p and _deg(_mod_monic_gcd(_mod_reduce(f, p), _mod_reduce(g, p), p)) == 0:
         return [1]
     return _gcd_heuristic(f, g)
 

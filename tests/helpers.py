@@ -12,8 +12,6 @@ from orbitflex.exactpoly import MultiPoly, det3, is_prime
 from orbitflex.exactpoly.unipoly import (
     _deg,
     _divides,
-    _mod_monic_gcd,
-    _mod_reduce,
     _primitive,
     _pseudo_rem,
     _trim,
@@ -175,6 +173,26 @@ def gcd_prs(f: list[int], g: list[int]) -> list[int]:
     return _primitive(a)
 
 
+def _mod_monic_gcd(a: list[int], b: list[int], m: int) -> list[int]:
+    """Monic gcd over GF(m) by the Euclidean algorithm."""
+    while b:
+        inv = pow(b[-1], m - 2, m)
+        bm = [(c * inv) % m for c in b]
+        r = list(a)
+        while len(r) >= len(bm) and r:
+            q = r[-1] % m
+            if q:
+                off = len(r) - len(bm)
+                for i, c in enumerate(bm):
+                    r[off + i] = (r[off + i] - q * c) % m
+            _trim(r)
+        a, b = bm, _trim(r)
+    if not a:
+        return []
+    inv = pow(a[-1], m - 2, m)
+    return [(c * inv) % m for c in a]
+
+
 def _sym(c: int, m: int) -> int:
     c %= m
     return c - m if c > m // 2 else c
@@ -198,7 +216,7 @@ def gcd_multimodular(f: list[int], g: list[int]) -> list[int]:
         p -= 1
         if not is_prime(p) or f[-1] % p == 0 or g[-1] % p == 0:
             continue
-        hp = _mod_monic_gcd(_mod_reduce(f, p), _mod_reduce(g, p), p)
+        hp = _mod_monic_gcd(_trim([c % p for c in f]), _trim([c % p for c in g]), p)
         d = len(hp) - 1
         if d == 0:
             return [1]

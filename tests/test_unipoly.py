@@ -8,7 +8,7 @@ from orbitflex.exactpoly.unipoly import _divides, _primitive
 
 from helpers import gcd_multimodular, gcd_prs
 
-P = unipoly._EXIT_PRIME  # 2**31 - 1, the prime of gcd's coprimality exit
+P = 2**31 - 1  # the first prime of the gcd_multimodular oracle
 
 
 def lin(root: int) -> list[int]:
@@ -166,8 +166,7 @@ def test_pack_unpack_round_trip():
 
 
 def test_heuristic_gcd_retries_after_a_false_candidate(monkeypatch):
-    # f = g mod P, so the coprimality exit cannot prove f, g coprime.  At
-    # the first point xi = 8, gcd(f(8), g(8)) = 10 has the digits of x + 2,
+    # At the first point xi = 8, gcd(f(8), g(8)) = 10 has the digits of x + 2,
     # which divides f but not g; at xi = 16 the gcd is 2, whose primitive
     # part is 1.
     f, g = [2, 1], [2 + 10 * P, 1]
