@@ -14,7 +14,6 @@ from .chowcalc import (
     NonUnitDenominatorError,
     PushforwardTable,
     correction_integral,
-    expand_truncated,
     predegree_via_chow,
     pushforward,
     verify_identities,

@@ -35,6 +35,12 @@ checked as exact polynomial identities by ``verify_identities``.
     "flex"      3    d*k - 2e             (1+e)(1+k-2e)^3
     "higher"    4    d*k - 2e - (j-2)f    (1+f)(1+k-2e-(j-2)f)^3
 
+Every class is truncated above ``TOP_DEGREE`` = 4, the largest center
+dimension, which is exact for all four centers (see the constant).  A
+center's data is built only when its integral is derived, so importing
+the module does no algebra, and ``verify_identities`` derives each
+integral once per call, keeping nothing between calls.
+
 The "flex" center recurs once per flex; the "higher" center at level j
 recurs once per flex of order above j - 2.  Setting j = 2 in the derived
 "higher" integral must reproduce the "flex" integral, and assembling
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .exactpoly import MultiPoly
 from .flexlab import FlexProfile
@@ -64,6 +70,12 @@ from .orbitformulas import (
 
 COEFF_VARS = ("d", "j")
 GENERATORS = ("k", "h", "e", "f")
+
+# The largest center dimension.  Truncating every class here is exact:
+# the degree-k part of a product or an inverse depends only on the parts
+# of degree <= k of its factors, and an integral reads only the part in
+# its center's dimension.
+TOP_DEGREE = 4
 
 CoeffPoly = MultiPoly  # always over COEFF_VARS in this module
 
@@ -88,35 +100,33 @@ Monomial = tuple[int, int, int, int]  # exponents of k, h, e, f
 
 
 class GradedClass:
-    """Element of the truncated graded ring on k, h, e, f over Z[d, j]."""
+    """Element of the graded ring on k, h, e, f over Z[d, j], truncated
+    above degree ``TOP_DEGREE``."""
 
-    __slots__ = ("truncation", "_terms")
+    __slots__ = ("_terms",)
 
-    def __init__(self, truncation: int, terms: Mapping[Monomial, CoeffPoly]):
-        clean: dict[Monomial, CoeffPoly] = {}
-        for mono, coeff in terms.items():
-            if sum(mono) > truncation:
-                continue
-            if not coeff.is_zero():
-                clean[mono] = coeff
-        self.truncation = truncation
-        self._terms = clean
+    def __init__(self, terms: Mapping[Monomial, CoeffPoly]):
+        self._terms = {
+            mono: coeff
+            for mono, coeff in terms.items()
+            if sum(mono) <= TOP_DEGREE and not coeff.is_zero()
+        }
 
     # -- construction --------------------------------------------------
 
     @classmethod
-    def unit(cls, truncation: int) -> "GradedClass":
-        return cls(truncation, {(0, 0, 0, 0): coeff_const(1)})
+    def unit(cls) -> "GradedClass":
+        return cls({(0, 0, 0, 0): coeff_const(1)})
 
     @classmethod
-    def generator(cls, name: str, truncation: int) -> "GradedClass":
+    def generator(cls, name: str) -> "GradedClass":
         i = GENERATORS.index(name)
         mono = tuple(1 if m == i else 0 for m in range(4))
-        return cls(truncation, {mono: coeff_const(1)})
+        return cls({mono: coeff_const(1)})
 
     @classmethod
-    def zero(cls, truncation: int) -> "GradedClass":
-        return cls(truncation, {})
+    def zero(cls) -> "GradedClass":
+        return cls({})
 
     # -- inspection -----------------------------------------------------
 
@@ -131,32 +141,25 @@ class GradedClass:
         return self._terms.get((0, 0, 0, 0), coeff_const(0))
 
     def graded_part(self, degree: int) -> "GradedClass":
-        return GradedClass(
-            self.truncation,
-            {m: c for m, c in self._terms.items() if sum(m) == degree},
-        )
+        return GradedClass({m: c for m, c in self._terms.items() if sum(m) == degree})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedClass):
             return NotImplemented
-        return self.truncation == other.truncation and self._terms == other._terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.truncation, frozenset(self._terms.items())))
+        return hash(frozenset(self._terms.items()))
 
     # -- ring operations -------------------------------------------------
 
     def _coerce(self, other: object) -> "GradedClass | None":
         if isinstance(other, GradedClass):
-            if other.truncation != self.truncation:
-                raise ValueError(
-                    f"mixed truncation degrees {self.truncation} and {other.truncation}"
-                )
             return other
         if isinstance(other, (int, Fraction)):
-            return GradedClass(self.truncation, {(0, 0, 0, 0): coeff_const(other)})
+            return GradedClass({(0, 0, 0, 0): coeff_const(other)})
         if isinstance(other, MultiPoly):
-            return GradedClass(self.truncation, {(0, 0, 0, 0): other})
+            return GradedClass({(0, 0, 0, 0): other})
         return None
 
     def __add__(self, other: object) -> "GradedClass":
@@ -166,12 +169,12 @@ class GradedClass:
         out = dict(self._terms)
         for m, c in o._terms.items():
             out[m] = out[m] + c if m in out else c
-        return GradedClass(self.truncation, out)
+        return GradedClass(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedClass":
-        return GradedClass(self.truncation, {m: -c for m, c in self._terms.items()})
+        return GradedClass({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "GradedClass":
         o = self._coerce(other)
@@ -193,11 +196,11 @@ class GradedClass:
         for ma, ca in self._terms.items():
             for mb, cb in o._terms.items():
                 m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2], ma[3] + mb[3])
-                if sum(m) > self.truncation:
+                if sum(m) > TOP_DEGREE:
                     continue
                 prod = ca * cb
                 out[m] = out[m] + prod if m in out else prod
-        return GradedClass(self.truncation, out)
+        return GradedClass(out)
 
     __rmul__ = __mul__
 
@@ -206,7 +209,7 @@ class GradedClass:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        result = GradedClass.unit(self.truncation)
+        result = GradedClass.unit()
         for _ in range(n):
             result = result * self
         return result
@@ -218,9 +221,9 @@ class GradedClass:
                 f"constant term is {self.constant_term()}, not 1"
             )
         positive = self - 1
-        result = GradedClass.unit(self.truncation)
-        power = GradedClass.unit(self.truncation)
-        for i in range(1, self.truncation + 1):
+        result = GradedClass.unit()
+        power = GradedClass.unit()
+        for i in range(1, TOP_DEGREE + 1):
             power = power * positive
             if power.is_zero():
                 break
@@ -249,48 +252,12 @@ class GradedClass:
         return " + ".join(bits)
 
     def __repr__(self) -> str:
-        return f"GradedClass(trunc={self.truncation}, {self!s})"
-
-
-def expand_truncated(
-    factors: Iterable["GradedClass | tuple[GradedClass, int]"],
-    truncation: int | None = None,
-) -> GradedClass:
-    """Product of graded classes and integer powers, truncated exactly.
-
-    Each factor is a GradedClass or a (GradedClass, exponent) pair;
-    negative exponents invert through the geometric series and require a
-    denominator with constant term 1.
-    """
-    result: GradedClass | None = None
-    for item in factors:
-        base, exp = item if isinstance(item, tuple) else (item, 1)
-        if result is None:
-            if truncation is not None and base.truncation != truncation:
-                raise ValueError("factor truncation differs from requested truncation")
-            result = base**exp
-        else:
-            result = result * base**exp
-    if result is None:
-        if truncation is None:
-            raise ValueError("empty product needs an explicit truncation")
-        return GradedClass.unit(truncation)
-    return result
+        return f"GradedClass({self!s})"
 
 
 # ----------------------------------------------------------------------
 # Pushforward tables
 # ----------------------------------------------------------------------
-
-
-def _kh(truncation: int, spec: Mapping[tuple[int, int], "CoeffPoly | int"]) -> GradedClass:
-    return GradedClass(
-        truncation,
-        {
-            (a, b, 0, 0): coeff_const(c) if isinstance(c, int) else c
-            for (a, b), c in spec.items()
-        },
-    )
 
 
 @dataclass(frozen=True)
@@ -307,7 +274,7 @@ class PushforwardTable:
     images: tuple[GradedClass, ...]
 
     def apply(self, cls: GradedClass) -> GradedClass:
-        out = GradedClass.zero(cls.truncation)
+        out = GradedClass.zero()
         for mono, coeff in cls.terms.items():
             i = mono[self.fiber]
             if i >= len(self.images):
@@ -316,55 +283,55 @@ class PushforwardTable:
                 )
             base = list(mono)
             base[self.fiber] = 0
-            carrier = GradedClass(cls.truncation, {tuple(base): coeff})
+            carrier = GradedClass({tuple(base): coeff})
             out = out + carrier * self.images[i]
         return out
 
 
-def _table_first_directions(trunc: int) -> PushforwardTable:
+def _table_first_directions() -> PushforwardTable:
     """e-powers down the direction bundle over the dual-plane x curve base."""
     d = coeff_d()
+    k, h = GradedClass.generator("k"), GradedClass.generator("h")
     return PushforwardTable(
         name="first-directions",
         fiber=2,
         images=(
-            GradedClass.zero(trunc),
-            _kh(trunc, {(0, 0): -1}),
-            _kh(trunc, {(1, 0): -3, (0, 1): 2 * d - 6}),
-            _kh(trunc, {(2, 0): -6, (1, 1): 9 * d - 27}),
-            _kh(trunc, {(2, 1): 24 * d - 72}),
+            GradedClass.zero(),
+            -GradedClass.unit(),
+            -3 * k + (2 * d - 6) * h,
+            -6 * k**2 + (9 * d - 27) * k * h,
+            (24 * d - 72) * k**2 * h,
         ),
     )
 
 
-def _table_flex_plane(trunc: int) -> PushforwardTable:
+def _table_flex_plane() -> PushforwardTable:
     """e-powers down the flex-supported bundle; h restricts to 0 there."""
+    k = GradedClass.generator("k")
     return PushforwardTable(
         name="flex-plane",
         fiber=2,
-        images=(
-            GradedClass.zero(trunc),
-            _kh(trunc, {(0, 0): -1}),
-            _kh(trunc, {(1, 0): -3}),
-            _kh(trunc, {(2, 0): -6}),
-        ),
+        images=(GradedClass.zero(), -GradedClass.unit(), -3 * k, -6 * k**2),
     )
 
 
-def _table_higher(trunc: int) -> PushforwardTable:
+def _table_higher() -> PushforwardTable:
     """f-powers down one level of the iterated flex blow-ups."""
-    e = GradedClass.generator("e", trunc)
+    e = GradedClass.generator("e")
     return PushforwardTable(
         name="higher-levels",
         fiber=3,
-        images=(
-            GradedClass.zero(trunc),
-            -GradedClass.unit(trunc),
-            -e,
-            -(e**2),
-            -(e**3),
-        ),
+        images=(GradedClass.zero(), -GradedClass.unit(), -e, -(e**2), -(e**3)),
     )
+
+
+# The one fiber-class substitution of each stage that has one; shared by
+# ``pushforward`` and ``_center_spec``.
+_STAGE_TABLES: dict[str, Callable[[], PushforwardTable]] = {
+    "second": _table_first_directions,
+    "flex": _table_flex_plane,
+    "higher": _table_higher,
+}
 
 
 def _evaluate_on_base(cls: GradedClass) -> CoeffPoly:
@@ -396,75 +363,48 @@ def _evaluate_on_plane(cls: GradedClass) -> CoeffPoly:
 
 @dataclass(frozen=True)
 class CenterSpec:
-    """Intersection-theoretic data of one blow-up center."""
+    """Intersection-theoretic data of one blow-up center.
+
+    A class on the center is integrated by applying ``tables`` in order
+    and then ``evaluate`` on the final base.
+    """
 
     name: str
     dim: int
     point_class: GradedClass
     normal_chern: GradedClass
-    integrate: Callable[[GradedClass], CoeffPoly]
+    tables: tuple[PushforwardTable, ...]
+    evaluate: Callable[[GradedClass], CoeffPoly]
+
+    def integrate(self, cls: GradedClass) -> CoeffPoly:
+        for table in self.tables:
+            cls = table.apply(cls)
+        return self.evaluate(cls)
 
 
-def _make_stages() -> dict[str, CenterSpec]:
-    stages: dict[str, CenterSpec] = {}
+def _center_spec(name: str) -> CenterSpec:
+    """Build the data of one center, as tabulated in the module docstring."""
     d = coeff_d()
     j = coeff_j()
-
-    t = 3
-    one = GradedClass.unit(t)
-    k = GradedClass.generator("k", t)
-    h = GradedClass.generator("h", t)
-    e = GradedClass.generator("e", t)
-    first_chern = expand_truncated(
-        [((one + k + h), 9), (one + d * h, 1), ((one + k), -3), ((one + h), -3)]
-    )
-    stages["first"] = CenterSpec(
-        name="first",
-        dim=3,
-        point_class=d * k + d * h,
-        normal_chern=first_chern,
-        integrate=_evaluate_on_base,
-    )
-
-    flex_table = _table_flex_plane(t)
-    stages["flex"] = CenterSpec(
-        name="flex",
-        dim=3,
-        point_class=d * k - 2 * e,
-        normal_chern=(one + e) * (one + k - 2 * e) ** 3,
-        integrate=lambda cls: _evaluate_on_plane(flex_table.apply(cls)),
-    )
-
-    t = 4
-    one = GradedClass.unit(t)
-    k = GradedClass.generator("k", t)
-    h = GradedClass.generator("h", t)
-    e = GradedClass.generator("e", t)
-    f = GradedClass.generator("f", t)
-    dir_table = _table_first_directions(t)
-    stages["second"] = CenterSpec(
-        name="second",
-        dim=4,
-        point_class=d * k + d * h - e,
-        normal_chern=(one + e) * (one + k + d * h - e) ** 3,
-        integrate=lambda cls: _evaluate_on_base(dir_table.apply(cls)),
-    )
-
-    flex_table4 = _table_flex_plane(t)
-    higher_table = _table_higher(t)
-    stages["higher"] = CenterSpec(
-        name="higher",
-        dim=4,
-        point_class=d * k - 2 * e - (j - 2) * f,
-        normal_chern=(one + f) * (one + k - 2 * e - (j - 2) * f) ** 3,
-        integrate=lambda cls: _evaluate_on_plane(
-            flex_table4.apply(higher_table.apply(cls))
-        ),
-    )
-    return stages
-
-
-STAGES = _make_stages()
+    one = GradedClass.unit()
+    k, h, e, f = (GradedClass.generator(g) for g in GENERATORS)
+    if name == "first":
+        chern = (one + k + h) ** 9 * (one + d * h) / ((one + k) ** 3 * (one + h) ** 3)
+        return CenterSpec(name, 3, d * k + d * h, chern, (), _evaluate_on_base)
+    if name == "second":
+        chern = (one + e) * (one + k + d * h - e) ** 3
+        tables = (_STAGE_TABLES["second"](),)
+        return CenterSpec(name, 4, d * k + d * h - e, chern, tables, _evaluate_on_base)
+    if name == "flex":
+        chern = (one + e) * (one + k - 2 * e) ** 3
+        tables = (_STAGE_TABLES["flex"](),)
+        return CenterSpec(name, 3, d * k - 2 * e, chern, tables, _evaluate_on_plane)
+    if name == "higher":
+        point = d * k - 2 * e - (j - 2) * f
+        chern = (one + f) * (one + k - 2 * e - (j - 2) * f) ** 3
+        tables = (_STAGE_TABLES["higher"](), _STAGE_TABLES["flex"]())
+        return CenterSpec(name, 4, point, chern, tables, _evaluate_on_plane)
+    raise KeyError(name)
 
 
 def pushforward(cls: GradedClass, stage: str) -> GradedClass:
@@ -474,14 +414,9 @@ def pushforward(cls: GradedClass, stage: str) -> GradedClass:
     "flex" pushes powers of e to a plane, "higher" pushes powers of f one
     level down; base classes carry through by the projection formula.
     """
-    tables = {
-        "second": _table_first_directions,
-        "flex": _table_flex_plane,
-        "higher": _table_higher,
-    }
-    if stage not in tables:
+    if stage not in _STAGE_TABLES:
         raise ValueError(f"no single pushforward table for stage {stage!r}")
-    return tables[stage](cls.truncation).apply(cls)
+    return _STAGE_TABLES[stage]().apply(cls)
 
 
 def correction_integral(stage_name: str) -> CoeffPoly:
@@ -490,9 +425,8 @@ def correction_integral(stage_name: str) -> CoeffPoly:
     Only the "higher" stage actually involves j; the others return
     polynomials in d alone.
     """
-    stage = STAGES[stage_name]
-    one = GradedClass.unit(stage.dim)
-    integrand = (one + stage.point_class) ** 8 / stage.normal_chern
+    stage = _center_spec(stage_name)
+    integrand = (GradedClass.unit() + stage.point_class) ** 8 / stage.normal_chern
     return stage.integrate(integrand.graded_part(stage.dim))
 
 
@@ -511,12 +445,12 @@ def _d_only(p: CoeffPoly) -> MultiPoly:
     return MultiPoly(("d",), out)
 
 
-def _substitute_j(p: CoeffPoly, value: int) -> CoeffPoly:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (ed, ej), c in p.terms.items():
-        key = (ed, 0)
-        out[key] = out.get(key, Fraction(0)) + c * Fraction(value) ** ej
-    return MultiPoly(COEFF_VARS, out)
+def _simple_flex_assembly(
+    i_first: CoeffPoly, i_second: CoeffPoly, i_flex: CoeffPoly
+) -> MultiPoly:
+    """d^8 minus the two base corrections and 3d(d-2) flex corrections, in Z[d]."""
+    d = coeff_d()
+    return _d_only(d**8 - i_first - i_second - 3 * d * (d - 2) * i_flex)
 
 
 def predegree_via_chow(
@@ -528,30 +462,32 @@ def predegree_via_chow(
     mode: ``d = None`` with ``profile = None`` meaning the all-simple
     profile of 3d(d-2) simple flexes; returns the polynomial in Z[d].
     """
-    i_first = correction_integral("first")
-    i_second = correction_integral("second")
-    i_higher = correction_integral("higher")
     if d is None:
         if profile is not None:
             raise ValueError("symbolic mode supports only the all-simple profile")
-        dp = MultiPoly.var(("d",), "d")
-        flex_part = 3 * dp * (dp - 2) * _d_only(correction_integral("flex"))
-        return dp**8 - _d_only(i_first) - _d_only(i_second) - flex_part
+        return _simple_flex_assembly(
+            correction_integral("first"),
+            correction_integral("second"),
+            correction_integral("flex"),
+        )
     if profile is None:
         raise ValueError("numeric mode needs a flex profile")
-    items = FlexProfile(d, dict(profile.items())).items()
-    total = Fraction(d) ** 8 - i_first.evaluate((d, 0)) - i_second.evaluate((d, 0))
-    max_order = max((r for r, _ in items), default=0)
-    for j in range(2, max_order + 2):
-        flexes_above = sum(n for r, n in items if r > j - 2)
-        if flexes_above:
-            total -= flexes_above * i_higher.evaluate((d, j))
-    assert total.denominator == 1
+    flexes = FlexProfile(d, dict(profile.items()))
+    i_higher = correction_integral("higher")
+    total = (
+        Fraction(d) ** 8
+        - correction_integral("first").evaluate((d, 0))
+        - correction_integral("second").evaluate((d, 0))
+    )
+    for j in range(2, max(flexes.counts, default=0) + 2):
+        total -= flexes.flexes_of_order_above(j - 2) * i_higher.evaluate((d, j))
+    if total.denominator != 1:
+        raise RuntimeError(f"assembled predegree {total} is not an integer")
     return int(total)
 
 
 def verify_identities() -> list[tuple[str, bool, str, str]]:
-    """Re-derive every correction integral and check the closed forms.
+    """Derive each correction integral once and check the closed forms.
 
     Returns (name, passed, derived, expected) tuples; every comparison is
     an exact polynomial identity in Z[d] or Z[d, j].
@@ -572,10 +508,14 @@ def verify_identities() -> list[tuple[str, bool, str, str]]:
     record("second-center-integral", i_second, second_blowup_term(d))
     record("flex-center-integral", i_flex, flex_blowup_term(d))
     record("higher-center-integral", i_higher, higher_blowup_term(j, d))
-    record("higher-at-level-2-matches-flex", _substitute_j(i_higher, 2), i_flex)
+    record(
+        "higher-at-level-2-matches-flex",
+        i_higher.substitute({"d": d, "j": coeff_const(2)}),
+        i_flex,
+    )
 
     dp = MultiPoly.var(("d",), "d")
-    assembled = predegree_via_chow(None)
+    assembled = _simple_flex_assembly(i_first, i_second, i_flex)
     record("predegree-assembly", assembled, simple_flex_predegree(dp))
     record(
         "simple-flex-factored-form",

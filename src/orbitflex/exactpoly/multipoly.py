@@ -361,54 +361,6 @@ class MultiPoly:
         return [MultiPoly(rest, b) for b in buckets]
 
     # ------------------------------------------------------------------
-    # Exact division
-    # ------------------------------------------------------------------
-
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises if the quotient is not exact.
-
-        Works recursively one variable at a time.
-        """
-        self._check_same_vars(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return MultiPoly.zero(self.variables)
-        if not self.variables:
-            return MultiPoly.const((), Fraction(self.constant_term(), divisor.constant_term()))
-        var = self.variables[-1]
-        num = self.coefficients_in(var)
-        den = divisor.coefficients_in(var)
-        b = len(den) - 1
-        rest_vars = num[0].variables
-        quot: dict[int, MultiPoly] = {}
-        # Synthetic division on the top coefficient; exactness of the whole
-        # quotient forces exactness of every leading-coefficient division.
-        while num:
-            a = len(num) - 1
-            if a < b:
-                raise ValueError("division is not exact")
-            c = num[a].exact_div(den[b])
-            quot[a - b] = c
-            for i, dcoef in enumerate(den):
-                num[a - b + i] = num[a - b + i] - c * dcoef
-            while num and num[-1].is_zero():
-                num.pop()
-        out: dict[Exponent, Coeff] = {}
-        for k, coef in quot.items():
-            for e, cval in coef._terms.items():
-                out[e + (k,)] = cval
-        reordered = MultiPoly(rest_vars + (var,), out)
-        if reordered.variables == self.variables:
-            return reordered
-        # Variable removed from the middle: map exponents back into place.
-        back: dict[Exponent, Coeff] = {}
-        idx = [reordered.variables.index(v) for v in self.variables]
-        for e, cval in reordered._terms.items():
-            back[tuple(e[i] for i in idx)] = cval
-        return MultiPoly(self.variables, back)
-
-    # ------------------------------------------------------------------
     # Printing
     # ------------------------------------------------------------------
 

@@ -24,6 +24,7 @@ term maps.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
@@ -60,10 +61,11 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
         )
         for t in range(k)
     ]
-    rest = fc[0].variables
-    out = MultiPoly(rest, {(i,): c for i, c in enumerate(_interpolate(values)) if c})
+    coeffs = _interpolate(values)
     scale = a**n * b**m
-    return out if scale == 1 else out.exact_div(MultiPoly.const(rest, scale))
+    if scale != 1:
+        coeffs = [Fraction(c, scale) for c in coeffs]
+    return MultiPoly(fc[0].variables, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
 def _integer_coefficients(cs: Sequence[MultiPoly]) -> tuple[list[IntPoly], int]:

@@ -86,7 +86,6 @@ class PlaneCurve:
 
     form: MultiPoly
     degree: int
-    smooth: bool = True
 
 
 class FlexProfile:
@@ -298,7 +297,7 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
         deg_form = (d - 1) ** 2
         common = _binary_common_roots(r1, r2, deg_form, deg_form)
         if common is None:
-            return PlaneCurve(form=form, degree=d, smooth=True)
+            return PlaneCurve(form=form, degree=d)
         obstructed += 1
         witness = _find_rational_witness(grads, common)
         if witness is not None:
@@ -467,8 +466,6 @@ def flex_order_at(curve: PlaneCurve, point: Sequence[int | Fraction]) -> int:
 
 def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
     """Flex-order multiset of a smooth curve, deterministic given seed."""
-    if not curve.smooth:
-        raise SingularCurveError("flex profiles require a smoothness certificate")
     d = curve.degree
     form = _integer_form(curve.form)
     rng = random.Random(seed)

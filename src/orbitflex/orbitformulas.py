@@ -87,12 +87,10 @@ def predegree_by_blowup_sum(d: int, profile: "FlexProfile | Mapping[int, int]") 
     the level-j term is weighted by the number of flexes of order > j - 2.
     """
     _require_degree(d)
-    items = FlexProfile(d, dict(profile.items())).items()
+    flexes = FlexProfile(d, dict(profile.items()))
     total = d**8 - first_blowup_term(d) - second_blowup_term(d)
-    max_order = max((r for r, _ in items), default=0)
-    for j in range(2, max_order + 2):
-        flexes_above = sum(n for r, n in items if r > j - 2)
-        total -= flexes_above * higher_blowup_term(j, d)
+    for j in range(2, max(flexes.counts, default=0) + 2):
+        total -= flexes.flexes_of_order_above(j - 2) * higher_blowup_term(j, d)
     return total
 
 
@@ -186,20 +184,15 @@ def fermat_predegree_factored(d: DLike) -> DLike:
     return d**2 * (d - 2) * (d**5 + 2 * d**4 - 26 * d**3 - 7 * d**2 + 192 * d - 192)
 
 
-def cyclic_curve_degree(d: DLike) -> "int | MultiPoly":
+def cyclic_curve_degree(d: int) -> int:
     """Orbit-closure degree of x^(d-1)y + y^(d-1)z + z^(d-1)x for d >= 5.
 
     The curve has three flexes of order d - 3, all other flexes simple,
-    and a stabilizer of order 3(d^2 - 3d + 3).  Numeric d returns the
-    integer degree; a polynomial d returns the quotient polynomial (whose
-    coefficients lie in (1/3)Z).
+    and a stabilizer of order 3(d^2 - 3d + 3).
     """
     _require_degree(d, minimum=5)
     pre = simple_flex_predegree(d) + 3 * flex_contribution(d - 3, d)
-    if isinstance(d, int):
-        return orbit_degree(pre, 3 * (d**2 - 3 * d + 3))
-    stab = 3 * (d**2 - 3 * d + 3)
-    return pre.exact_div(stab)
+    return orbit_degree(pre, 3 * (d**2 - 3 * d + 3))
 
 
 def cyclic_curve_degree_closed_form(d: DLike) -> DLike:

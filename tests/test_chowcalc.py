@@ -3,13 +3,14 @@ import random
 import pytest
 
 from orbitflex.chowcalc import (
-    STAGES,
     GradedClass,
     NonUnitDenominatorError,
-    coeff_const,
+    PushforwardTable,
+    _center_spec,
+    _evaluate_on_base,
+    _evaluate_on_plane,
     coeff_d,
     correction_integral,
-    expand_truncated,
     predegree_via_chow,
     pushforward,
     verify_identities,
@@ -26,13 +27,13 @@ from orbitflex.flexlab import FlexProfile, f_sums
 from helpers import random_valid_profile
 
 
-def gens(trunc):
+def gens():
     return (
-        GradedClass.unit(trunc),
-        GradedClass.generator("k", trunc),
-        GradedClass.generator("h", trunc),
-        GradedClass.generator("e", trunc),
-        GradedClass.generator("f", trunc),
+        GradedClass.unit(),
+        GradedClass.generator("k"),
+        GradedClass.generator("h"),
+        GradedClass.generator("e"),
+        GradedClass.generator("f"),
     )
 
 
@@ -42,12 +43,12 @@ def gens(trunc):
 
 
 def test_geometric_series_inverse():
-    one, k, h, e, f = gens(3)
-    assert (one + k).inverse() == one - k + k**2 - k**3
+    one, k, h, e, f = gens()
+    assert (one + k).inverse() == one - k + k**2 - k**3 + k**4
 
 
 def test_unit_times_inverse_is_one():
-    one, k, h, e, f = gens(3)
+    one, k, h, e, f = gens()
     d = coeff_d()
     u = one + d * h
     assert u * u.inverse() == one
@@ -55,18 +56,18 @@ def test_unit_times_inverse_is_one():
 
 def test_unit_inverse_property_random():
     rng = random.Random(67)
-    one, k, h, e, f = gens(4)
+    one, k, h, e, f = gens()
     basis = [k, h, e, f]
     for _ in range(15):
         u = one
         for g in basis:
             u = u + rng.randint(-3, 3) * g
         u = u + rng.randint(-2, 2) * k * h + rng.randint(-2, 2) * e * f
-        assert expand_truncated([u]) * expand_truncated([(u, -1)]) == one
+        assert u * u**-1 == one
 
 
 def test_non_unit_denominator_rejected():
-    one, k, h, e, f = gens(3)
+    one, k, h, e, f = gens()
     with pytest.raises(NonUnitDenominatorError):
         (2 * one + k).inverse()
     with pytest.raises(NonUnitDenominatorError):
@@ -74,16 +75,9 @@ def test_non_unit_denominator_rejected():
 
 
 def test_truncation_drops_high_degrees():
-    one, k, h, e, f = gens(3)
-    assert (k**2 * h**2).is_zero()
-    assert not (k**2 * h).is_zero()
-
-
-def test_mixed_truncations_rejected():
-    a = GradedClass.generator("k", 3)
-    b = GradedClass.generator("k", 4)
-    with pytest.raises(ValueError):
-        a * b
+    one, k, h, e, f = gens()
+    assert (k**3 * h**2).is_zero()
+    assert not (k**2 * h**2).is_zero()
 
 
 # ----------------------------------------------------------------------
@@ -92,30 +86,30 @@ def test_mixed_truncations_rejected():
 
 
 def test_pushforward_e_squared_second_stage():
-    one, k, h, e, f = gens(4)
+    one, k, h, e, f = gens()
     d = coeff_d()
     assert pushforward(e**2, "second") == -3 * k + (2 * d - 6) * h
 
 
 def test_pushforward_projection_formula_example():
-    one, k, h, e, f = gens(4)
+    one, k, h, e, f = gens()
     assert pushforward(k * e, "second") == -k
 
 
 def test_pushforward_f_squared_higher_stage():
-    one, k, h, e, f = gens(4)
+    one, k, h, e, f = gens()
     assert pushforward(f**2, "higher") == -e
 
 
 def test_pushforward_unit_is_zero_on_every_stage():
     for stage in ("second", "flex", "higher"):
-        one = GradedClass.unit(4)
+        one = GradedClass.unit()
         assert pushforward(one, stage).is_zero()
 
 
 def test_pushforward_linear_over_base_classes():
     rng = random.Random(71)
-    one, k, h, e, f = gens(4)
+    one, k, h, e, f = gens()
     for i in range(5):
         base = k ** rng.randint(0, 2) * h ** rng.randint(0, 1)
         assert pushforward(base * e**i, "second") == base * pushforward(e**i, "second")
@@ -174,6 +168,23 @@ def test_higher_integral_at_level_two_is_flex_integral():
         assert higher.evaluate((d, 2)) == flex.evaluate((d, 0))
 
 
+@pytest.mark.parametrize(
+    "name, derived",
+    [
+        ("first", "140*d^4 - 456*d^3 + 507*d^2 - 189*d"),
+        ("second", "644*d^4 - 3480*d^3 + 6237*d^2 - 3699*d"),
+        ("flex", "196*d^2 - 960*d + 1125"),
+        (
+            "higher",
+            "84*d^2*j^2 - 96*d*j^3 + 30*j^4 + 84*d^2*j - 216*d*j^2 + 96*j^3"
+            " - 308*d^2 - 168*d*j + 132*j^2 + 1008*d + 84*j - 819",
+        ),
+    ],
+)
+def test_derived_integral_text(name, derived):
+    assert str(correction_integral(name)) == derived
+
+
 def test_numeric_spot_values():
     assert correction_integral("first").evaluate((3, 0)) == 3024
     assert correction_integral("first").evaluate((4, 0)) == 14012
@@ -186,18 +197,15 @@ def test_numeric_spot_values():
 def test_expand_truncated_reproduces_first_integrand():
     # degree-3 part of (1+dk+dh)^8 (1+k)^3 (1+h)^3 / ((1+k+h)^9 (1+dh)),
     # integrated over the base, equals the first correction term.
-    one, k, h, e, f = gens(3)
+    one, k, h, e, f = gens()
     d = coeff_d()
-    expr = expand_truncated(
-        [
-            ((one + d * k + d * h), 8),
-            ((one + k), 3),
-            ((one + h), 3),
-            ((one + k + h), -9),
-            ((one + d * h), -1),
-        ]
+    expr = (
+        (one + d * k + d * h) ** 8
+        * (one + k) ** 3
+        * (one + h) ** 3
+        / ((one + k + h) ** 9 * (one + d * h))
     )
-    integral = STAGES["first"].integrate(expr.graded_part(3))
+    integral = _center_spec("first").integrate(expr.graded_part(3))
     assert integral == correction_integral("first")
 
 
@@ -242,37 +250,47 @@ def test_verify_identities_all_pass():
     assert failed == []
 
 
+def test_import_builds_no_class():
+    # Centers are built when their integral is derived, never at import.
+    import subprocess
+    import sys
+
+    code = (
+        "import gc, orbitflex.cli\n"
+        "from orbitflex.chowcalc import GradedClass\n"
+        "print(sum(isinstance(o, GradedClass) for o in gc.get_objects()))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
 def test_identity_checks_have_teeth():
     # A corrupted pushforward image must change the derived integral: the
     # verification is sensitive to the table data, not vacuously true.
-    from orbitflex.chowcalc import PushforwardTable, STAGES, _evaluate_on_plane
-
-    one, k, h, e, f = gens(3)
+    one, k, h, e, f = gens()
     good = correction_integral("flex")
     bad_table = PushforwardTable(
         name="flex-plane-corrupted",
         fiber=2,
         images=(
-            GradedClass.zero(3),
+            GradedClass.zero(),
             -one,
             -3 * k,
             -5 * (k**2),  # true image is -6*k^2
         ),
     )
-    stage = STAGES["flex"]
-    integrand = (one + stage.point_class) ** 8 / stage.normal_chern
-    corrupted = _evaluate_on_plane(bad_table.apply(integrand.graded_part(3)))
+    stage = _center_spec("flex")
+    integrand = ((one + stage.point_class) ** 8 / stage.normal_chern).graded_part(3)
+    assert stage.integrate(integrand) == good
+    corrupted = _evaluate_on_plane(bad_table.apply(integrand))
     assert corrupted != good
 
 
 def test_corrupted_point_class_changes_integral():
-    from orbitflex.chowcalc import STAGES, _evaluate_on_base
-
-    one = GradedClass.unit(3)
-    stage = STAGES["first"]
+    one, k, h, e, f = gens()
+    stage = _center_spec("first")
     d = coeff_d()
-    k = GradedClass.generator("k", 3)
-    h = GradedClass.generator("h", 3)
     wrong_point = d * k + (d - 1) * h
     integrand = (one + wrong_point) ** 8 / stage.normal_chern
     corrupted = _evaluate_on_base(integrand.graded_part(3))

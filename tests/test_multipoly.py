@@ -136,21 +136,6 @@ def test_compose_linear_restricts_to_line():
     assert restricted == MultiPoly.var(("s", "t"), "t") ** 3
 
 
-def test_exact_div_roundtrip():
-    rng = random.Random(5)
-    for _ in range(25):
-        p = random_multipoly(rng, max_degree=2, max_terms=4)
-        q = random_multipoly(rng, max_degree=2, max_terms=3)
-        if q.is_zero():
-            continue
-        assert (p * q).exact_div(q) == p
-
-
-def test_exact_div_rejects_inexact():
-    with pytest.raises(ValueError):
-        (X**2 + Y).exact_div(X + 1)
-
-
 def test_rational_coefficients_stay_exact():
     p = MultiPoly.const(V, Fraction(1, 3)) * X + MultiPoly.const(V, Fraction(1, 6)) * X
     assert p == MultiPoly.monomial(V, (1, 0, 0), Fraction(1, 2))

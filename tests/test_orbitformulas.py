@@ -182,8 +182,6 @@ def test_cyclic_identity_symbolic():
     d = d_symbol()
     numerator = simple_flex_predegree(d) + 3 * flex_contribution(d - 3, d)
     assert numerator == (d**2 - 3 * d + 3) * cyclic_curve_degree_closed_form(d)
-    quotient = cyclic_curve_degree(d)
-    assert quotient * (3 * (d**2 - 3 * d + 3)) == numerator
 
 
 def test_cyclic_scoped_to_degree_five_and_up():
