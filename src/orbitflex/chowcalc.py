@@ -508,11 +508,10 @@ def verify_identities() -> list[tuple[str, bool, str, str]]:
     record("second-center-integral", i_second, second_blowup_term(d))
     record("flex-center-integral", i_flex, flex_blowup_term(d))
     record("higher-center-integral", i_higher, higher_blowup_term(j, d))
-    record(
-        "higher-at-level-2-matches-flex",
-        i_higher.substitute({"d": d, "j": coeff_const(2)}),
-        i_flex,
-    )
+    at_level_2: dict[tuple[int, int], int | Fraction] = {}
+    for (a, k), c in i_higher.terms.items():
+        at_level_2[a, 0] = at_level_2.get((a, 0), 0) + c * 2**k
+    record("higher-at-level-2-matches-flex", MultiPoly(COEFF_VARS, at_level_2), i_flex)
 
     dp = MultiPoly.var(("d",), "d")
     assembled = _simple_flex_assembly(i_first, i_second, i_flex)

@@ -74,6 +74,8 @@ def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
 
 def _load_curve(args: argparse.Namespace) -> str:
     if args.from_file:
+        if args.curve is not None:
+            raise ValueError("give an inline curve or --from-file, not both")
         with open(args.from_file, "r", encoding="utf-8") as fh:
             return fh.read().strip()
     if args.curve is None:

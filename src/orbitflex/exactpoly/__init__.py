@@ -16,7 +16,6 @@ from .multipoly import (
     SingularMatrixError,
     UnknownVariableError,
     VariableMismatchError,
-    compose_linear,
     det3,
     gradient,
     hessian_determinant,
@@ -33,7 +32,6 @@ __all__ = [
     "UnknownVariableError",
     "VariableMismatchError",
     "ZeroPolynomialError",
-    "compose_linear",
     "det3",
     "factor_integer",
     "format_factorization",

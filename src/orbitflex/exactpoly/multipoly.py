@@ -15,12 +15,18 @@ Terms are kept in no particular order internally; printing and iteration
 use graded-lexicographic order (total degree first, then lexicographic on
 the exponent vector), which is also the canonical text form understood by
 the expression parser.
+
+The two products the curve pipeline takes of ternary forms, the Hessian
+determinant and the linear change of coordinates, are single computations
+on big integers into which the forms are packed (Kronecker substitution).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .unipoly import _pack, _unpack
@@ -268,7 +274,7 @@ class MultiPoly:
         return h
 
     # ------------------------------------------------------------------
-    # Calculus and substitution
+    # Calculus and restriction
     # ------------------------------------------------------------------
 
     def diff(self, var: str) -> "MultiPoly":
@@ -298,40 +304,6 @@ class MultiPoly:
                     term *= v**k
             total += term
         return _as_rat(total)
-
-    def substitute(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute a polynomial for every variable.
-
-        All images must share one variable list, which becomes the variable
-        list of the result.  Powers of each image are built once up to the
-        largest exponent used, and the terms are accumulated into a single
-        coefficient map.
-        """
-        if set(images) != set(self.variables):
-            raise ValueError(
-                f"need an image for each of {self.variables}, got {sorted(images)}"
-            )
-        imgs = [images[v] for v in self.variables]
-        target = imgs[0].variables
-        for im in imgs:
-            if im.variables != target:
-                raise VariableMismatchError("images over differing variable lists")
-        powers: list[list[MultiPoly]] = []
-        for i, im in enumerate(imgs):
-            top = max((e[i] for e in self._terms), default=0)
-            row = [MultiPoly.const(target, 1)]
-            for _ in range(top):
-                row.append(row[-1] * im)
-            powers.append(row)
-        out: dict[Exponent, Coeff] = {}
-        for e, c in self._terms.items():
-            term = powers[0][e[0]]
-            for row, k in zip(powers[1:], e[1:]):
-                if k:
-                    term = term * row[k]
-            for te, tc in term._terms.items():
-                out[te] = out.get(te, 0) + c * tc
-        return MultiPoly(target, out)
 
     def dehomogenize(self, var: str) -> "MultiPoly":
         """Set one variable to 1, dropping it from the variable list."""
@@ -413,6 +385,23 @@ def det3(m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _unpack_form(
+    packed: int, b: int, width: int, degree: int, den: int, variables: Sequence[str]
+) -> MultiPoly:
+    """The ternary form of the given degree whose coefficient of
+    x**i * y**j * z**(degree-i-j), times ``den``, is the balanced base-2**b
+    digit of ``packed`` at slot i*width + j, each digit below 2**(b-1) in
+    absolute value; a negative ``packed`` holds the negated form."""
+    sign = -1 if packed < 0 else 1
+    scale = sign if den == 1 else Fraction(sign, den)
+    out = {}
+    for slot, c in enumerate(_unpack(abs(packed), b)):
+        if c:
+            i, j = divmod(slot, width)
+            out[i, j, degree - i - j] = c * scale
+    return MultiPoly(variables, out)
+
+
 def hessian_determinant(form: MultiPoly) -> MultiPoly:
     """Determinant of the matrix of second partials of a ternary form.
 
@@ -427,7 +416,7 @@ def hessian_determinant(form: MultiPoly) -> MultiPoly:
     distinct slots.  Its coefficients are at most 6*M**3 in absolute value,
     M the largest 1-norm of a second partial, so with 2**(b-1) > 6*M**3
     the balanced base-2**b digits of the packed cofactor determinant are
-    its coefficients, up to the sign of the whole.
+    its coefficients (``_unpack_form``).
     """
     if len(form.variables) != 3:
         raise ValueError(f"expected a ternary form, got variables {form.variables}")
@@ -449,21 +438,26 @@ def hessian_determinant(form: MultiPoly) -> MultiPoly:
             dense[i * width + j] = c
         packed[rc] = _pack(dense, b)
     det = det3([[packed[min(r, c), max(r, c)] for c in range(3)] for r in range(3)])
-    sign = -1 if det < 0 else 1
-    scale = sign if den == 1 else Fraction(sign, den**3)
-    out = {}
-    for slot, c in enumerate(_unpack(abs(det), b)):
-        if c:
-            i, j = divmod(slot, width)
-            out[i, j, 3 * e - i - j] = c * scale
-    return MultiPoly(vs, out)
+    return _unpack_form(det, b, width, 3 * e, den**3, vs)
 
 
 def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPoly:
-    """Compose a ternary polynomial with an invertible linear change.
+    """Compose a ternary form with an invertible linear change.
 
     ``matrix`` is a 3x3 integer matrix M; the result is p(M @ (x, y, z)),
     i.e. each variable is replaced by the corresponding row combination.
+    The input must be homogeneous; the zero polynomial maps to zero.
+
+    The composition is one sum on packed integers (Kronecker substitution),
+    like ``hessian_determinant``.  Denominators are cleared once.  At
+    z = 1 the result, of degree d, has terms x**i * y**j with i + j <= d;
+    with w = d + 1 each has its own slot i*w + j, so row r packs as
+    L_r = m_r0 * 2**(b*w) + m_r1 * 2**b + m_r2, and the sum of
+    c * L_0**i * L_1**j * L_2**k over the terms of p is the result at
+    x = 2**(b*w), y = 2**b.  The 1-norm is subadditive and submultiplicative,
+    so no coefficient of the result exceeds sum |c| * n_0**i * n_1**j * n_2**k,
+    n_r the 1-norm of row r; with 2**(b-1) above that bound the balanced
+    base-2**b digits of the sum are the coefficients (``_unpack_form``).
     """
     if len(p.variables) != 3:
         raise ValueError(f"expected three variables, got {p.variables}")
@@ -472,32 +466,15 @@ def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPol
         raise ValueError("matrix must be 3x3")
     if det3(rows) == 0:
         raise SingularMatrixError("substitution matrix has determinant 0")
-    return compose_linear(p, list(zip(*rows)), p.variables)
-
-
-def compose_linear(
-    p: MultiPoly, columns: Sequence[Sequence[int | Fraction]], new_vars: Sequence[str]
-) -> MultiPoly:
-    """Restrict a polynomial to the span of the given coordinate columns.
-
-    ``columns[j]`` is the image point of the j-th new variable: variable i
-    of ``p`` is replaced by sum_j columns[j][i] * new_vars[j].  Used to
-    restrict a ternary form to a parametrized line (two columns).
-    """
-    nv = tuple(new_vars)
-    cols = [list(c) for c in columns]
-    if any(len(c) != len(p.variables) for c in cols):
-        raise ValueError("each column must give one value per old variable")
-    if len(cols) != len(nv):
-        raise ValueError("need one column per new variable")
-    images = {}
-    for i, v in enumerate(p.variables):
-        images[v] = MultiPoly(
-            nv,
-            {
-                tuple(1 if j == jj else 0 for jj in range(len(nv))): cols[j][i]
-                for j in range(len(nv))
-                if cols[j][i] != 0
-            },
-        )
-    return p.substitute(images)
+    if not p._terms:
+        return p
+    d = p.homogeneous_degree()
+    den = common_denominator(p._terms.values())
+    terms = {e: c.numerator * (den // c.denominator) for e, c in p._terms.items()}
+    n0, n1, n2 = (sum(map(abs, r)) for r in rows)
+    bound = sum(abs(c) * n0**i * n1**j * n2**k for (i, j, k), c in terms.items())
+    b = bound.bit_length() + 1
+    images = [(m0 << (b * (d + 1))) + (m1 << b) + m2 for m0, m1, m2 in rows]
+    x, y, z = (list(accumulate([im] * d, mul, initial=1)) for im in images)
+    packed = sum(c * x[i] * y[j] * z[k] for (i, j, k), c in terms.items())
+    return _unpack_form(packed, b, d + 1, d, den, p.variables)

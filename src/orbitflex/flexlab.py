@@ -38,7 +38,6 @@ from typing import Mapping, Sequence
 from .exactpoly import (
     IntPoly,
     MultiPoly,
-    compose_linear,
     factor_integer,
     gradient,
     hessian_determinant,
@@ -395,16 +394,11 @@ def _divisors(n: int, cap: int = 4096) -> list[int] | None:
 def _find_rational_witness(
     grads: Sequence[MultiPoly], candidates: list[tuple[Fraction, Fraction]]
 ) -> Point | None:
-    zvar = MultiPoly.var(("z",), "z")
     for x0, y0 in candidates:
         fibers = []
-        for p in grads:
-            images = {
-                "x": MultiPoly.const(("z",), x0),
-                "y": MultiPoly.const(("z",), y0),
-                "z": zvar,
-            }
-            fibers.append(_int_poly(p.substitute(images)))
+        for p in grads:  # the fibre p(x0, y0, z), read off p's coefficients in z
+            fibre = {(k,): c.evaluate((x0, y0)) for k, c in enumerate(p.coefficients_in("z"))}
+            fibers.append(_int_poly(MultiPoly(("z",), fibre)))
         if not any(fibers):
             # Partials vanish along the whole line; pick any point on it.
             return (x0, y0, Fraction(0))
@@ -428,9 +422,10 @@ def _find_rational_witness(
 def flex_order_at(curve: PlaneCurve, point: Sequence[int | Fraction]) -> int:
     """Flex order r at a rational point of the curve (0 = not a flex).
 
-    The tangent line is parametrized with the point as one basis vector;
-    r + 2 is the order of vanishing of the form along that line at the
-    point.
+    With v a second point of the tangent line, F(s*q + t*v) is the sum of
+    s**(d-k) * t**k * (D_v**k F)(q) / k! over k, D_v = sum v_i d/dx_i; so
+    r + 2, the order of vanishing of F along the line at q, is the first
+    k with (D_v**k F)(q) != 0.
     """
     q = tuple(Fraction(c) for c in point)
     if len(q) != 3 or all(c == 0 for c in q):
@@ -439,29 +434,26 @@ def flex_order_at(curve: PlaneCurve, point: Sequence[int | Fraction]) -> int:
     if form.evaluate(q) != 0:
         raise PointNotOnCurveError(f"{point} does not lie on the curve")
     a, b, c = (p.evaluate(q) for p in gradient(form))
-    if a == b == c == 0:
-        raise ValueError(f"curve is singular at {point}")
     # Vectors spanning the tangent line a*x + b*y + c*z = 0; the point
-    # itself lies on it by the Euler identity.
-    spanning = ((b, -a, Fraction(0)), (c, Fraction(0), -a), (Fraction(0), c, -b))
-    v = None
-    for w in spanning:
-        if all(x == 0 for x in w):
-            continue
+    # itself lies on it by the Euler identity.  They are all zero exactly
+    # when the gradient vanishes at q.
+    for v in ((b, -a, Fraction(0)), (c, Fraction(0), -a), (Fraction(0), c, -b)):
         cross = (
-            q[1] * w[2] - q[2] * w[1],
-            q[2] * w[0] - q[0] * w[2],
-            q[0] * w[1] - q[1] * w[0],
+            q[1] * v[2] - q[2] * v[1],
+            q[2] * v[0] - q[0] * v[2],
+            q[0] * v[1] - q[1] * v[0],
         )
         if any(x != 0 for x in cross):
-            v = w
             break
-    assert v is not None  # gradient is nonzero, so the line has a basis
-    restricted = compose_linear(form, [q, v], ("s", "t"))
-    if restricted.is_zero():
-        raise ValueError("tangent line is contained in the curve")
-    multiplicity = min(e[1] for e in restricted.terms)
-    return multiplicity - 2
+    else:
+        raise ValueError(f"curve is singular at {point}")
+    derivative, k = form, 0
+    while not derivative.is_zero():
+        if derivative.evaluate(q) != 0:
+            return k - 2
+        derivative = sum(vi * derivative.diff(x) for vi, x in zip(v, form.variables))
+        k += 1
+    raise ValueError("tangent line is contained in the curve")
 
 
 def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:

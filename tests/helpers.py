@@ -244,3 +244,26 @@ def hessian_cofactor(form: MultiPoly) -> MultiPoly:
     matrix of second partials, multiplied out as ``MultiPoly``s."""
     firsts = [form.diff(v) for v in form.variables]
     return det3([[fi.diff(v) for v in form.variables] for fi in firsts])
+
+
+def substitute_expanded(form: MultiPoly, matrix: list[list[int]]) -> MultiPoly:
+    """form(M @ (x, y, z)) expanded as the sum of c * prod (row . (x, y, z))**e
+    over the terms of the form, multiplied out as ``MultiPoly``s with each
+    row's powers built once."""
+    vs = form.variables
+    powers = []
+    for r, row in enumerate(matrix):
+        image = sum((m * MultiPoly.var(vs, v) for m, v in zip(row, vs)), MultiPoly.zero(vs))
+        top = max((e[r] for e in form.terms), default=0)
+        pw = [MultiPoly.const(vs, 1)]
+        for _ in range(top):
+            pw.append(pw[-1] * image)
+        powers.append(pw)
+    out: dict = {}
+    for exps, c in form.terms.items():
+        term = MultiPoly.const(vs, c)
+        for pw, k in zip(powers, exps):
+            term = term * pw[k]
+        for e, tc in term.terms.items():
+            out[e] = out.get(e, 0) + tc
+    return MultiPoly(vs, out)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,14 @@ def test_curve_from_file(tmp_path, capsys):
     assert "order 1 x 9" in out
 
 
+def test_inline_curve_and_file_conflict(tmp_path, capsys):
+    path = tmp_path / "curve.txt"
+    path.write_text("x^4 + y^4 + z^4\n")
+    code, out, err = run(capsys, "flexes", "x^3+y^3+z^3", "--from-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "input error: give an inline curve or --from-file, not both\n"
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 def test_missing_file(capsys, tmp_path, kind):
     path = "/nonexistent/curve.txt" if kind == "missing" else str(tmp_path)
@@ -220,3 +229,13 @@ def test_missing_curve_argument(capsys):
     code, _, err = run(capsys, "flexes")
     assert code == 2
     assert "no curve" in err
+
+
+def test_output_bytes_match_golden(capsys):
+    # stdout, stderr and exit code of flexes, predegree and degree on the
+    # Fermat, Klein and cyclic families, a rational-coefficient quartic and
+    # three singular curves, at seeds 0 and 1: a change inside the curve
+    # pipeline must keep every byte.
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    for case in golden:
+        assert run(capsys, *case["argv"]) == (case["code"], case["out"], case["err"]), case["argv"]

@@ -115,11 +115,17 @@ def test_point_not_on_curve_rejected():
         flex_order_at(c, (1, 1, 1))
 
 
+FERMAT_FLEXES = ((1, -1, 0), (1, 0, -1), (0, 1, -1))
+
+
 def test_fermat_flex_orders_scale_with_degree():
-    # (1:-1:0) lies on the Fermat curve only for odd degree
-    for d in (3, 5):
+    # The three rational flexes exist only for odd degree, and carry the
+    # profile's only order.
+    for d in (3, 5, 7):
         c = curve(f"x^{d} + y^{d} + z^{d}")
-        assert flex_order_at(c, (1, -1, 0)) == d - 2
+        assert flex_profile(c).counts == {d - 2: 3 * d}
+        for q in FERMAT_FLEXES:
+            assert flex_order_at(c, q) == d - 2
 
 
 def test_rational_point_with_fraction_coordinates():
@@ -127,6 +133,54 @@ def test_rational_point_with_fraction_coordinates():
     # (x, y) = (1/2)... seek a rational point: x=0,y=0 done; use scaled
     # projective coordinates of the same point to check invariance.
     assert flex_order_at(c, (Fraction(0), Fraction(0), Fraction(3))) == 0
+
+
+def test_flex_order_errors():
+    # the line z = 0 and a conic meeting it at (1:0:0) and (0:1:0)
+    line_and_conic = PlaneCurve(parse_form("z*(x*y - z^2)")[0], 3)
+    with pytest.raises(ValueError, match="not a projective point"):
+        flex_order_at(line_and_conic, (0, 0, 0))
+    with pytest.raises(ValueError, match="tangent line is contained"):
+        flex_order_at(line_and_conic, (1, 1, 0))
+    with pytest.raises(ValueError, match="singular"):
+        flex_order_at(line_and_conic, (1, 0, 0))
+    with pytest.raises(PointNotOnCurveError):
+        flex_order_at(line_and_conic, (0, 0, 1))
+
+
+def _adjugate(m):
+    return [
+        [
+            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
+KNOWN_ORDERS = [
+    ("x^3 + y^3 + z^3", FERMAT_FLEXES),
+    ("x^5 + y^5 + z^5", FERMAT_FLEXES),
+    ("x^7 + y^7 + z^7", FERMAT_FLEXES),
+    ("x^4 + x*y^3 + y*z^3", ((0, 0, 1), (0, 1, 0))),
+    ("x^3*y + y^3*z + z^3*x", ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ("y^2*z - x^3 - x*z^2", ((0, 0, 1),)),
+]
+
+
+def test_flex_order_invariant_under_coordinate_change():
+    # (F o M)(M^-1 q) = F(q), and adj(M) is M^-1 up to the sign det(M).
+    rng = random.Random(5)
+    for src, points in KNOWN_ORDERS:
+        c = curve(src)
+        for bound in (3, 12, 48):
+            m = random_unimodular(rng, bound)
+            adj = _adjugate(m)
+            moved = PlaneCurve(linear_substitute(c.form, m), c.degree)
+            for q in points:
+                pulled_back = [sum(adj[i][j] * q[j] for j in range(3)) for i in range(3)]
+                assert flex_order_at(moved, pulled_back) == flex_order_at(c, q), (src, m, q)
 
 
 # ----------------------------------------------------------------------

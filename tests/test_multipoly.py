@@ -8,12 +8,18 @@ from orbitflex.exactpoly import (
     NonHomogeneousError,
     SingularMatrixError,
     VariableMismatchError,
-    compose_linear,
     det3,
     hessian_determinant,
     linear_substitute,
 )
-from helpers import CURVE_VARS, hessian_cofactor, random_homogeneous, random_multipoly
+from orbitflex.flexlab import random_unimodular
+from helpers import (
+    CURVE_VARS,
+    hessian_cofactor,
+    random_homogeneous,
+    random_multipoly,
+    substitute_expanded,
+)
 
 V = CURVE_VARS
 X = MultiPoly.var(V, "x")
@@ -129,11 +135,35 @@ def test_linear_substitute_rejects_singular():
         linear_substitute(X, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
 
 
-def test_compose_linear_restricts_to_line():
-    F = X**3 + Y**3 + Z**3
-    restricted = compose_linear(F, [(1, -1, 0), (0, 0, 1)], ("s", "t"))
-    # F(s, -s, t) = t^3
-    assert restricted == MultiPoly.var(("s", "t"), "t") ** 3
+def test_linear_substitute_matches_expansion_oracle():
+    rng = random.Random(67)
+    bounds = [3 * 2**k for k in range(6)]  # the retry bounds 3 .. 96
+    cases = []
+    for d in range(1, 13):
+        for coeff in (1, 9, 10**30):
+            form = random_homogeneous(rng, d, coeff_range=coeff)
+            for sign in (1, -1):
+                cases.append((sign * form, random_unimodular(rng, bounds[len(cases) % 6])))
+    rational = [
+        MultiPoly(V, {(4, 0, 0): Fraction(1, 2), (1, 3, 0): Fraction(-1, 3),
+                      (0, 1, 3): Fraction(5, 7), (2, 1, 1): 3}),
+        X**3 + Fraction(2, 9) * Y**2 * Z - Fraction(4, 15) * X * Y * Z,
+        Fraction(-1, 6) * Z**5,
+    ]
+    cases += [(form, random_unimodular(rng, bound)) for form in rational for bound in bounds]
+    cases.append((MultiPoly.zero(V), [[2, 1, 0], [1, 1, 1], [0, 3, 1]]))
+    # A single monomial whose image coefficient c*m**d is the packing bound
+    # itself, of either sign.
+    for d, m, c in ((1, 2, 1), (5, 3, 7), (12, 96, 10**30)):
+        for sign in (1, -1):
+            cases.append((sign * c * X**d, [[m, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    for form, m in cases:
+        assert linear_substitute(form, m).terms == substitute_expanded(form, m).terms, (form, m)
+
+
+def test_linear_substitute_rejects_non_homogeneous():
+    with pytest.raises(NonHomogeneousError):
+        linear_substitute(X**2 + Y, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_rational_coefficients_stay_exact():
