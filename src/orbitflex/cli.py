@@ -18,7 +18,7 @@ a machine format in which every integer is a decimal string (predegrees
 overflow doubles long before d reaches 20).
 
 Exit codes: 0 success; 1 mathematical inconsistency (failed identity,
-non-divisible automorphism order, no stable flex profile); 2 input error.
+non-divisible automorphism order, no certified flex profile); 2 input error.
 """
 
 from __future__ import annotations

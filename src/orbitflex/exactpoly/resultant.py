@@ -11,9 +11,10 @@ f's coefficients first, but the matrix is never built:
   k - 1 = n*D + m*E - m*n in x (3d(d-2) for a curve and its Hessian);
 * at each of the points x = 0, 1, ..., k-1 the resultant of the two
   integer polynomials in ``var`` comes from the subresultant polynomial
-  remainder sequence over Z (Collins 1967; Brown & Traub 1971; Cohen,
-  GTM 138, Algorithm 3.3.7), taken at the formal degrees m, n even where
-  a leading coefficient vanishes;
+  remainder sequence over Z (Collins 1967; Brown & Traub 1971; Brown
+  1978), taken at the formal degrees m, n even where a leading
+  coefficient vanishes; the same sequence gives the first principal
+  subresultant coefficient sres_1 on request;
 * the k values are reassembled by Newton interpolation on integer forward
   differences scaled by (k-1)!, which is divided back out exactly at the
   end (Collins 1971).
@@ -25,19 +26,36 @@ term maps.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .multipoly import MultiPoly, common_denominator
 from .unipoly import IntPoly, ZeroPolynomialError, _deg, _pseudo_rem, _trim
 
 
-def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+def resultant(
+    f: MultiPoly,
+    g: MultiPoly,
+    var: str,
+    *,
+    first_subresultant: list[Callable[[], MultiPoly]] | None = None,
+) -> MultiPoly:
     """Resultant of bivariate f and g with respect to ``var``.
 
     Returns a polynomial over the remaining variable.  When one argument
     is constant in ``var`` the usual convention applies:
     Res(f, g) = f**deg(g) if deg(f) = 0, and 1 if both degrees are 0.
+
+    When ``first_subresultant`` is a list, a function of no arguments is
+    appended to it that returns the first principal subresultant
+    coefficient sres_1: the determinant of the Sylvester submatrix with
+    the first n-1 rows of f, the first m-1 rows of g and the first m+n-2
+    columns, for degrees m, n >= 1 in ``var``.  Its values are read off
+    the same remainder sequences as the resultant's, and are interpolated
+    only when the function is called.  Where both leading coefficients
+    survive, a point x0 with sres_1(x0) != 0 has gcd(f(x0, .), g(x0, .))
+    of degree at most 1.
     """
     if f.variables != g.variables:
         raise ValueError(f"operands over {f.variables} and {g.variables}")
@@ -48,6 +66,8 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     fc = f.coefficients_in(var)
     gc = g.coefficients_in(var)
     m, n = len(fc) - 1, len(gc) - 1
+    if first_subresultant is not None and min(m, n) < 1:
+        raise ValueError("sres_1 needs both degrees in the variable to be at least 1")
     if m == 0:
         return fc[0] ** n
     if n == 0:
@@ -55,17 +75,29 @@ def resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     fi, a = _integer_coefficients(fc)
     gi, b = _integer_coefficients(gc)
     k = n * f.total_degree() + m * g.total_degree() - m * n + 1
-    values = [
-        _resultant_at_formal_degrees(
-            [_horner(c, t) for c in fi], [_horner(c, t) for c in gi], m, n
+    values, sres1 = zip(
+        *(
+            _subresultants_at_formal_degrees(
+                [_horner(c, t) for c in fi], [_horner(c, t) for c in gi], m, n
+            )
+            for t in range(k)
         )
-        for t in range(k)
-    ]
+    )
+    rest = fc[0].variables
+    if first_subresultant is not None:
+        # sres_1 has degree at most (n-1)D + (m-1)E - mn + 1 < k in x, and
+        # sres_1(a*f, b*g) = a**(n-1) * b**(m-1) * sres_1(f, g).
+        scale = a ** (n - 1) * b ** (m - 1)
+        first_subresultant.append(partial(_from_values, sres1, scale, rest))
+    return _from_values(values, a**n * b**m, rest)
+
+
+def _from_values(values: Sequence[int], scale: int, variables: tuple[str, ...]) -> MultiPoly:
+    """The polynomial through (t, values[t] / scale), t = 0 .. k-1."""
     coeffs = _interpolate(values)
-    scale = a**n * b**m
     if scale != 1:
         coeffs = [Fraction(c, scale) for c in coeffs]
-    return MultiPoly(fc[0].variables, {(i,): c for i, c in enumerate(coeffs) if c})
+    return MultiPoly(variables, {(i,): c for i, c in enumerate(coeffs) if c})
 
 
 def _integer_coefficients(cs: Sequence[MultiPoly]) -> tuple[list[IntPoly], int]:
@@ -87,50 +119,74 @@ def _horner(coeffs: Sequence[int], t: int) -> int:
     return acc
 
 
-def _resultant_at_formal_degrees(f: IntPoly, g: IntPoly, m: int, n: int) -> int:
-    """Res_{m,n}(f, g) of integer polynomials with deg f <= m, deg g <= n.
+def _subresultants_at_formal_degrees(
+    f: IntPoly, g: IntPoly, m: int, n: int
+) -> tuple[int, int]:
+    """(Res, sres_1) at the formal degrees m, n >= 1 of integer polynomials
+    with deg f <= m, deg g <= n.
 
-    Expanding the Sylvester determinant along its first column removes a
-    vanished leading coefficient one degree at a time.
+    Expanding the Sylvester matrix, or the sres_1 submatrix, along its
+    first column removes a vanished leading coefficient one degree at a
+    time.  For sres_1 this stops at formal degree 1: at degrees (m, 1) the
+    submatrix holds only rows of g, at (1, n) only rows of f, and it is
+    empty (determinant 1) when the other degree is 1 too, or else has a
+    zero first column, since that formal leading coefficient is zero.
     """
     f, g = _trim(f), _trim(g)
     mf, ng = _deg(f), _deg(g)
     if mf < m and ng < n:
-        return 0
+        return 0, int(m + n == 2)
+    res, sres1 = _prs_subresultants(f, g)
     if ng < n:
-        return f[-1] ** (n - ng) * _prs_resultant(f, g)
+        lead = f[-1]
+        res *= lead ** (n - ng)
+        if ng < 1:
+            sres1, ng = int(m == 1), 1
+        return res, lead ** (n - ng) * sres1
     if mf < m:
-        sign = -1 if n * (m - mf) % 2 else 1
-        return sign * g[-1] ** (m - mf) * _prs_resultant(f, g)
-    return _prs_resultant(f, g)
+        lead = g[-1]
+        res *= (-lead if n % 2 else lead) ** (m - mf)
+        if mf < 1:
+            sres1, mf = int(n == 1), 1
+        return res, (lead if n % 2 else -lead) ** (m - mf) * sres1
+    return res, sres1
 
 
-def _prs_resultant(a: IntPoly, b: IntPoly) -> int:
-    """Res(a, b) at the actual degrees, by the subresultant PRS."""
+def _prs_subresultants(a: IntPoly, b: IntPoly) -> tuple[int, int]:
+    """(Res(a, b), sres_1(a, b)) at the actual degrees, by the subresultant PRS.
+
+    The signed variant of Brown (1978) divides each pseudo-remainder by
+    -lc(R_{i-1}) * c**delta, which makes R_i the subresultant S_{n_{i-1}-1}
+    of the Sylvester convention above and -c_i the principal subresultant
+    coefficient sres_{n_i}, where n_i = deg R_i.  So Res = -c at the step
+    that reaches degree 0, and sres_1 = -c at the step that reaches degree
+    1, or 0 when the chain skips it.  The sres_1 value is only meaningful
+    when both degrees are at least 1.
+    """
     if not a or not b:
-        return 0
+        return 0, 0
     da, db = _deg(a), _deg(b)
-    sign = 1
+    res_sign = sres1_sign = 1
     if da < db:
         a, b, da, db = b, a, db, da
-        if da % 2 and db % 2:
-            sign = -1
-    if db == 0:
-        return sign * b[0] ** da
-    g = h = 1
-    while db > 0:
+        res_sign = -1 if da * db % 2 else 1
+        sres1_sign = -1 if (da - 1) * (db - 1) % 2 else 1
+    lead_prev, c = 1, -1  # lc(R_{i-1}) and c_{i-1}, chosen to fit the first step
+    sres1 = 0
+    while True:
         delta = da - db
-        if da % 2 and db % 2:
-            sign = -sign
+        c_prev = c
+        if delta:
+            c = (-b[-1]) ** delta // c ** (delta - 1)
+        if db == 0:
+            return res_sign * -c, sres1_sign * sres1
+        if db == 1:
+            sres1 = -c
         r = _pseudo_rem(a, b)
         if not r:
-            return 0
-        a, b = b, _divexact_scalar(r, g * h**delta)
+            return 0, sres1_sign * sres1
+        a, b, lead_prev = b, _divexact_scalar(r, -lead_prev * c_prev**delta), b[-1]
         da, db = db, _deg(b)
-        g = a[-1]
-        if delta:
-            h = g**delta // h ** (delta - 1)
-    return sign * (b[0] ** da // h ** (da - 1))
 
 
 def _interpolate(values: Sequence[int]) -> IntPoly:

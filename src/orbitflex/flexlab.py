@@ -9,15 +9,16 @@ curve is always 3d(d-2).
 without ever leaving exact rational arithmetic: flex orders equal the
 local intersection multiplicities of the curve with its Hessian, and
 after a generic integer coordinate change those multiplicities are read
-off the squarefree decomposition of the curve-Hessian resultant.  A
-candidate profile is accepted only when (a) the resultant has the exact
-expected degree 3d(d-2), (b) no multiplicity exceeds d-2, and (c) an
-independent second coordinate change gives the same profile.  A bad
-projection can only merge distinct intersection points, so agreement of
-two projections is strong evidence for the profile but not a proof: two
-bad projections could merge fibres the same way.  After the curve is
-scaled to integer coefficients every step runs on Python integers, and
-the whole computation is deterministic given the seed.
+off the squarefree decomposition of the curve-Hessian resultant.  Each
+coordinate change is certified before its profile is used: the
+resultant must have the exact expected degree 3d(d-2), and the
+projection must separate the intersection points, which a squarefree
+resultant proves at once and the first subresultant proves otherwise
+(Gonzalez-Vega & El Kahoui 1996).  So a certified profile is proved; a
+second coordinate change is drawn as a cross-check and must agree.
+After the curve is scaled to integer coefficients every step runs on
+Python integers, and the whole computation is deterministic given the
+seed.
 
 ``check_smooth`` certifies that the three partial derivatives share no
 projective zero, by eliminating one variable from two pairs of partials
@@ -30,10 +31,11 @@ rational singular point, then a retry in new coordinates.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .exactpoly import (
     IntPoly,
@@ -456,48 +458,85 @@ def flex_order_at(curve: PlaneCurve, point: Sequence[int | Fraction]) -> int:
     raise ValueError("tangent line is contained in the curve")
 
 
+# Why a coordinate change is rejected, as counted by flex_profile.
+CENTRE_ON_CURVE = "centre on curve"
+HESSIAN_ZERO_AT_CENTRE = "Hessian zero at centre"
+DEGREE_SHORT = "resultant degree short"
+NOT_SEPARATING = "not separating"
+
+
 def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
-    """Flex-order multiset of a smooth curve, deterministic given seed."""
+    """Flex-order multiset of a smooth curve, deterministic given seed.
+
+    Draws coordinate changes until one is certified by ``_profile_once``;
+    its profile is proved.  A second coordinate change is drawn as a cross
+    check: it passes when its profile agrees or is certified itself, and a
+    certified disagreement is a defect and raises.  The bound on the
+    matrix entries doubles after each rejected coordinate change only.
+    """
     d = curve.degree
     form = _integer_form(curve.form)
     rng = random.Random(seed)
     bound = INITIAL_BOUND
-    seen: dict[tuple[tuple[int, int], ...], int] = {}
+    proved: dict[int, int] | None = None
+    rejected: Counter[str] = Counter()
     for _ in range(RETRY_BUDGET):
-        m = random_unimodular(rng, bound)
-        bound *= 2
-        candidate = _profile_once(form, d, m)
-        if candidate is None:
-            continue
-        key = tuple(sorted(candidate.items()))
-        seen[key] = seen.get(key, 0) + 1
-        if seen[key] == 2:
-            return FlexProfile(d, candidate)
+        outcome = _profile_once(form, d, random_unimodular(rng, bound), proved)
+        if isinstance(outcome, str):
+            rejected[outcome] += 1
+            bound *= 2
+        elif proved is None:
+            proved = outcome
+        elif outcome != proved:
+            raise RuntimeError(f"two certified flex profiles disagree: {proved}, {outcome}")
+        else:
+            return FlexProfile(d, proved)
+    tally = ", ".join(f"{reason} x {n}" for reason, n in rejected.items())
     raise GenericityFailureError(
-        f"no stable flex profile within {RETRY_BUDGET} coordinate changes"
+        f"no two agreeing certified flex profiles within {RETRY_BUDGET} coordinate"
+        f" changes (rejected: {tally})"
     )
 
 
 def _profile_once(
-    form: MultiPoly, d: int, m: Sequence[Sequence[int]]
-) -> dict[int, int] | None:
-    """Multiplicity profile under one coordinate change, or None if the
-    change fails a genericity check."""
+    form: MultiPoly,
+    d: int,
+    m: Sequence[Sequence[int]],
+    proved: Mapping[int, int] | None = None,
+) -> dict[int, int] | str:
+    """Certified multiplicity profile under one coordinate change, or the
+    reason the change is rejected.  A profile equal to ``proved``, one
+    already certified under another change, needs no certificate of its own.
+
+    The change puts the projection centre at (0:1:0).  When neither the
+    curve nor its Hessian passes through it, both have constant leading
+    coefficients in y; when the resultant R in x also has degree 3d(d-2),
+    no intersection point lies on the line at infinity, and a root of R
+    has multiplicity the sum of the intersection numbers in its fibre
+    (Fulton, Algebraic Curves).  The projection separates when every fibre
+    over a multiple root holds a single point; the multiplicities are then
+    the flex orders.  A simple root needs nothing, and sres_1(x0) != 0 puts
+    a single point over x0, so gcd(P, sres_1) = 1, with P the product of
+    the squarefree factors of multiplicity >= 2, certifies the profile; it
+    is checked factor by factor.
+    """
     g = linear_substitute(form, m)
     if g.evaluate((0, 1, 0)) == 0:
-        return None
+        return CENTRE_ON_CURVE
     hess = hessian_determinant(g)
     if hess.is_zero() or hess.evaluate((0, 1, 0)) == 0:
-        return None
-    g_aff = g.dehomogenize("z")
-    h_aff = hess.dehomogenize("z")
-    res = resultant(g_aff, h_aff, "y")
-    target = 3 * d * (d - 2)
-    if res.degree_in("x") != target:
-        return None
-    counts: dict[int, int] = {}
-    for mult, factor in squarefree_decompose(_int_poly(res)):
-        if mult > d - 2:
-            return None  # merged fibers; not a generic projection
-        counts[mult] = counts.get(mult, 0) + len(factor) - 1
+        return HESSIAN_ZERO_AT_CENTRE
+    sres1: list[Callable[[], MultiPoly]] = []
+    res = resultant(
+        g.dehomogenize("z"), hess.dehomogenize("z"), "y", first_subresultant=sres1
+    )
+    if res.degree_in("x") != 3 * d * (d - 2):
+        return DEGREE_SHORT
+    factors = squarefree_decompose(_int_poly(res))
+    counts = {mult: len(factor) - 1 for mult, factor in factors}
+    repeated = [factor for mult, factor in factors if mult > 1]
+    if repeated and counts != proved:
+        s1 = _int_poly(sres1[0]())
+        if any(len(poly_gcd(factor, s1)) > 1 for factor in repeated):
+            return NOT_SEPARATING
     return counts

@@ -135,28 +135,43 @@ def newton_interpolate(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
 
 
 def sylvester_resultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Res_var(f, g) of bivariate f, g as the Sylvester determinant.
+    """Res_var(f, g) of bivariate f, g as the Sylvester determinant."""
+    rest = tuple(v for v in f.variables if v != var)
+    return _interpolated_det(sylvester_matrix(f, g, var), rest)
+
+
+def sylvester_first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    """sres_1 of bivariate f, g of degrees m, n >= 1 in ``var``: the
+    determinant of the Sylvester matrix without the last row of each block
+    and without the last two columns."""
+    n = g.degree_in(var)
+    rows = sylvester_matrix(f, g, var)
+    rest = tuple(v for v in f.variables if v != var)
+    return _interpolated_det([row[:-2] for row in rows[: n - 1] + rows[n:-1]], rest)
+
+
+def _interpolated_det(rows: list[list[MultiPoly]], rest: tuple[str, ...]) -> MultiPoly:
+    """Determinant of a matrix of univariate polynomials.
 
     Rows are scaled to integer entries, the matrix is evaluated at
     t = 0 .. k-1 with k - 1 the sum of the row degrees, each integer
     determinant comes from Bareiss elimination, and the values are
     interpolated over the rationals.
     """
-    rest = tuple(v for v in f.variables if v != var)
     scale = 1
-    rows = []
-    for row in sylvester_matrix(f, g, var):
+    scaled = []
+    for row in rows:
         den = 1
         for entry in row:
             for c in entry.terms.values():
                 den = den * c.denominator // gcd(den, c.denominator)
         scale *= den
-        rows.append([entry * den for entry in row])
-    k = 1 + sum(max(entry.total_degree() or 0 for entry in row) for row in rows)
+        scaled.append([entry * den for entry in row])
+    k = 1 + sum(max(entry.total_degree() or 0 for entry in row) for row in scaled)
     points = list(range(k))
     values = []
     for t in points:
-        det = bareiss_det_int([[int(e.evaluate((t,))) for e in row] for row in rows])
+        det = bareiss_det_int([[int(e.evaluate((t,))) for e in row] for row in scaled])
         values.append(Fraction(det, scale))
     coeffs = newton_interpolate(points, values)
     return MultiPoly(rest, {(i,): c for i, c in enumerate(coeffs)})

@@ -38,6 +38,16 @@ def test_predegree_klein_with_aut(capsys):
     assert "orbit degree: 85" in out
 
 
+@pytest.mark.parametrize("seed", ["134", "147", "150"])
+def test_klein_degree_at_seeds_that_once_merged_flexes(capsys, seed):
+    # At these seeds two projections each put two simple flexes in one
+    # fibre and agreed on {1: 22, 2: 1}; degree then exited 1 with
+    # "168 does not divide predegree 13986".
+    code, out, err = run(capsys, "--seed", seed, "degree", KLEIN, "--aut", "168")
+    assert (code, err) == (0, "")
+    assert "flex profile: order 1 x 24" in out and "orbit degree: 85" in out
+
+
 def test_degree_requires_divisibility(capsys):
     code, _, err = run(capsys, "degree", "x^4+y^4+z^4", "--aut", "97")
     assert code == 1

@@ -12,7 +12,7 @@ from orbitflex.exactpoly import (
 )
 from orbitflex.flexlab import random_unimodular
 
-from helpers import sylvester_matrix, sylvester_resultant
+from helpers import sylvester_first_subresultant, sylvester_matrix, sylvester_resultant
 
 # Univariate cases carry an unused second variable: resultant() takes
 # bivariate input only.
@@ -140,6 +140,67 @@ def test_bareiss_and_interpolation_agree():
         assert got.terms == want.terms
         zeros += got.is_zero()
     assert zeros >= shared > 0
+
+
+def first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
+    out = []
+    resultant(f, g, var, first_subresultant=out)
+    return out[0]()
+
+
+def test_first_subresultant_by_hand():
+    # m = n = 2: the submatrix is [[a, b], [d, e]]; swapping f and g
+    # changes its sign by (-1)**((m-1)(n-1)).
+    a, b, c, d, e, h = 2, 3, 5, 7, 11, 13
+    f = a * t**2 + b * t + c
+    g = d * t**2 + e * t + h
+    assert first_subresultant(f, g, "t").constant_term() == a * e - b * d
+    assert first_subresultant(g, f, "t").constant_term() == b * d - a * e
+    # a cubic and its derivative: det [[1, 0, p], [3, 0, p], [0, 3, 0]] = 6p
+    W2 = ("p", "t")
+    p, s = MultiPoly.var(W2, "p"), MultiPoly.var(W2, "t")
+    six_p = 6 * MultiPoly.var(("p",), "p")
+    assert first_subresultant(s**3 + p * s + 1, 3 * s**2 + p, "t") == six_p
+    # both of degree 1: the empty determinant
+    assert first_subresultant(t - 1, 2 * t + 3, "t").constant_term() == 1
+
+
+def test_first_subresultant_matches_sylvester_oracle():
+    """sres_1 read off the remainder sequences equals the Sylvester-submatrix
+    determinant term for term, also where the sequence skips degree 1."""
+    rng = random.Random(41)
+    pairs = []
+    for i in range(320):
+        f = rand_bivariate(rng, rational=i % 4 == 0)
+        g = rand_bivariate(rng, rational=i % 4 == 1)
+        if i % 10 == 2 and f.degree_in("v"):
+            g = g * f
+        pairs.append((f, g))
+    for _ in range(40):
+        # even in v: the remainder sequence goes 4, 2, 0 and skips degree 1
+        c0, c1 = rng.randint(-3, 3) * u + rng.randint(-3, 3), rng.randint(1, 3) * u
+        pairs.append((v**4 + c1 * v**2 + c0, v**2 + rng.randint(-3, 3) * u + 1))
+    pairs += [
+        (u * v**2 + v + 1, u * v + 2),  # both leading coefficients vanish at u = 0
+        (u * v**2 + 1, (u - 1) * v**3 + u),
+        (u * v + 1, u * v + 2),
+        (v**3 - u, MultiPoly.const(W, Fraction(2, 3)) * v + u),
+    ]
+    skipped = 0
+    for f, g in pairs:
+        if f.degree_in("v") < 1 or g.degree_in("v") < 1:
+            continue
+        want = sylvester_first_subresultant(f, g, "v")
+        got = first_subresultant(f, g, "v")
+        assert got.variables == want.variables == ("u",)
+        assert got.terms == want.terms, (f, g)
+        skipped += got.is_zero() and not resultant(f, g, "v").is_zero()
+    assert skipped >= 40
+
+
+def test_first_subresultant_needs_positive_degrees():
+    with pytest.raises(ValueError):
+        resultant(MultiPoly.const(T, 3), t**2 + 1, "t", first_subresultant=[])
 
 
 def test_fermat_curve_hessian_pair_matches_oracle():
