@@ -17,23 +17,40 @@ truncated graded ring on four degree-1 generators
     f  -- exceptional class of the later flex blow-ups (pulled back),
 
 with coefficients in Z[d, j] (d the curve degree, j the blow-up level,
-both formal).  Integration happens through pushforward tables that
-replace powers of a fiber class by classes on the base of the relevant
-projective bundle -- base classes pass through multiplicatively by the
-projection formula -- followed by evaluation of the degree-3 monomials in
-k, h on the dual-plane x curve base (k^2*h evaluates to d, everything
-else to 0) or of k^2 on a plane (evaluates to 1).
+both formal).  A class is one map from exponent tuples (k, h, e, f, d, j)
+to plain numbers; d and j carry degree 0.
 
-Four centers occur.  Their dimensions, point-condition pullbacks and
-normal-bundle Chern classes are hard-wired data; the expansions, the
-pushforwards, and the closed-form answers are all derived here and
-checked as exact polynomial identities by ``verify_identities``.
+Integration pushes powers of a fiber class down a P^1-bundle P(E) -> B
+(base classes pass through by the projection formula) and ends on the
+dual plane x curve (k^3 = h^2 = 0, k^2*h evaluates to d) or on a plane
+(k^3 = h = 0, k^2 evaluates to 1).  The exceptional class restricts to
+c1(O(-1)) on each fiber, so its i-th power pushes down to
+(-1)^i s_{i-1}(E), with s(E) = 1/c(E) the Segre class (Fulton,
+*Intersection Theory*, 3.1-3.2): each table is derived from c(E) alone.
 
-    name       dim   point-condition      c(normal bundle)
-    "first"     3    d*k + d*h            (1+k+h)^9 (1+d*h) / ((1+k)^3 (1+h)^3)
-    "second"    4    d*k + d*h - e        (1+e)(1+k+d*h-e)^3
-    "flex"      3    d*k - 2e             (1+e)(1+k-2e)^3
-    "higher"    4    d*k - 2e - (j-2)f    (1+f)(1+k-2e-(j-2)f)^3
+Four centers occur.  Their dimensions, point-condition pullbacks,
+normal-bundle Chern classes and the classes c(E) of the bundles pushed
+down are hard-wired data; the expansions, the pushforwards, and the
+closed-form answers are all derived here and checked as exact polynomial
+identities by ``verify_identities``.
+
+    name      dim  point-condition     c(normal bundle)
+    "first"    3   d*k + d*h           (1+k+h)^9 (1+d*h) / ((1+k)^3 (1+h)^3)
+    "second"   4   d*k + d*h - e       (1+e)(1+k+d*h-e)^3
+    "flex"     3   d*k - 2e            (1+e)(1+k-2e)^3
+    "higher"   4   d*k - 2e - (j-2)f   (1+f)(1+k-2e-(j-2)f)^3
+
+    name      c(E) of each bundle pushed down, in order
+    "first"    none: the center is the dual plane x curve itself
+    "second"   1 + 3k - (2d-6)h + 3k^2 - (3d-9)k*h    (e to dual plane x curve)
+    "flex"     1 + 3k + 3k^2                          (e to a plane)
+    "higher"   1 + e, then 1 + 3k + 3k^2              (f one level down, then e)
+
+Each c(E) is read back from the images of e^i and f^i that earlier
+releases tabulated by hand; the tests keep those images as the oracle.
+1 + 3k + 3k^2 is c(T) for T the tangent bundle of a plane with hyperplane
+class k; the first-directions class is c(T (x) T_C) for T that of the dual
+plane, as c1(T_C) = -(d-3)h by adjunction and h^2 = 0; 1 + e is c(O + O(e)).
 
 Every class is truncated above ``TOP_DEGREE`` = 4, the largest center
 dimension, which is exact for all four centers (see the constant).  A
@@ -52,7 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .exactpoly import MultiPoly
 from .flexlab import FlexProfile
@@ -70,6 +87,7 @@ from .orbitformulas import (
 
 COEFF_VARS = ("d", "j")
 GENERATORS = ("k", "h", "e", "f")
+VARIABLES = GENERATORS + COEFF_VARS  # the exponent order of a monomial
 
 # The largest center dimension.  Truncating every class here is exact:
 # the degree-k part of a product or an inverse depends only on the parts
@@ -77,26 +95,27 @@ GENERATORS = ("k", "h", "e", "f")
 # its center's dimension.
 TOP_DEGREE = 4
 
-CoeffPoly = MultiPoly  # always over COEFF_VARS in this module
+Coeff = int | Fraction
+Monomial = tuple[int, int, int, int, int, int]  # exponents of k, h, e, f, d, j
+_ONE: Monomial = (0, 0, 0, 0, 0, 0)
 
 
-def coeff_const(n: int | Fraction) -> CoeffPoly:
-    return MultiPoly.const(COEFF_VARS, n)
+def _degree(mono: Monomial) -> int:
+    return mono[0] + mono[1] + mono[2] + mono[3]
 
 
-def coeff_d() -> CoeffPoly:
-    return MultiPoly.var(COEFF_VARS, "d")
+def coeff_d() -> "GradedClass":
+    """The curve degree d, as a class of degree 0."""
+    return GradedClass({(0, 0, 0, 0, 1, 0): 1})
 
 
-def coeff_j() -> CoeffPoly:
-    return MultiPoly.var(COEFF_VARS, "j")
+def coeff_j() -> "GradedClass":
+    """The blow-up level j, as a class of degree 0."""
+    return GradedClass({(0, 0, 0, 0, 0, 1): 1})
 
 
 class NonUnitDenominatorError(ValueError):
     """Inversion of a class whose constant term is not 1."""
-
-
-Monomial = tuple[int, int, int, int]  # exponents of k, h, e, f
 
 
 class GradedClass:
@@ -105,24 +124,19 @@ class GradedClass:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, CoeffPoly]):
-        self._terms = {
-            mono: coeff
-            for mono, coeff in terms.items()
-            if sum(mono) <= TOP_DEGREE and not coeff.is_zero()
-        }
+    def __init__(self, terms: Mapping[Monomial, Coeff]):
+        self._terms = {m: c for m, c in terms.items() if c and _degree(m) <= TOP_DEGREE}
 
     # -- construction --------------------------------------------------
 
     @classmethod
     def unit(cls) -> "GradedClass":
-        return cls({(0, 0, 0, 0): coeff_const(1)})
+        return cls({_ONE: 1})
 
     @classmethod
     def generator(cls, name: str) -> "GradedClass":
         i = GENERATORS.index(name)
-        mono = tuple(1 if m == i else 0 for m in range(4))
-        return cls({mono: coeff_const(1)})
+        return cls({tuple(1 if m == i else 0 for m in range(6)): 1})
 
     @classmethod
     def zero(cls) -> "GradedClass":
@@ -131,17 +145,14 @@ class GradedClass:
     # -- inspection -----------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, CoeffPoly]:
+    def terms(self) -> dict[Monomial, Coeff]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_term(self) -> CoeffPoly:
-        return self._terms.get((0, 0, 0, 0), coeff_const(0))
-
     def graded_part(self, degree: int) -> "GradedClass":
-        return GradedClass({m: c for m, c in self._terms.items() if sum(m) == degree})
+        return GradedClass({m: c for m, c in self._terms.items() if _degree(m) == degree})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedClass):
@@ -157,9 +168,7 @@ class GradedClass:
         if isinstance(other, GradedClass):
             return other
         if isinstance(other, (int, Fraction)):
-            return GradedClass({(0, 0, 0, 0): coeff_const(other)})
-        if isinstance(other, MultiPoly):
-            return GradedClass({(0, 0, 0, 0): other})
+            return GradedClass({_ONE: other})
         return None
 
     def __add__(self, other: object) -> "GradedClass":
@@ -168,7 +177,7 @@ class GradedClass:
             return NotImplemented
         out = dict(self._terms)
         for m, c in o._terms.items():
-            out[m] = out[m] + c if m in out else c
+            out[m] = out.get(m, 0) + c
         return GradedClass(out)
 
     __radd__ = __add__
@@ -192,14 +201,16 @@ class GradedClass:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Monomial, CoeffPoly] = {}
+        out: dict[Monomial, Coeff] = {}
+        right = [(mb, cb, _degree(mb)) for mb, cb in o._terms.items()]
         for ma, ca in self._terms.items():
-            for mb, cb in o._terms.items():
-                m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2], ma[3] + mb[3])
-                if sum(m) > TOP_DEGREE:
+            room = TOP_DEGREE - _degree(ma)
+            for mb, cb, db in right:
+                if db > room:
                     continue
-                prod = ca * cb
-                out[m] = out[m] + prod if m in out else prod
+                m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2],
+                     ma[3] + mb[3], ma[4] + mb[4], ma[5] + mb[5])
+                out[m] = out.get(m, 0) + ca * cb
         return GradedClass(out)
 
     __rmul__ = __mul__
@@ -216,10 +227,9 @@ class GradedClass:
 
     def inverse(self) -> "GradedClass":
         """Reciprocal by geometric series; requires constant term 1."""
-        if self.constant_term() != coeff_const(1):
-            raise NonUnitDenominatorError(
-                f"constant term is {self.constant_term()}, not 1"
-            )
+        constant = self.graded_part(0)
+        if constant != GradedClass.unit():
+            raise NonUnitDenominatorError(f"constant term is {constant}, not 1")
         positive = self - 1
         result = GradedClass.unit()
         power = GradedClass.unit()
@@ -240,15 +250,12 @@ class GradedClass:
         if not self._terms:
             return "0"
         bits = []
-        for mono in sorted(self._terms, key=lambda m: (sum(m), m)):
-            factors = [
-                g if p == 1 else f"{g}^{p}"
-                for g, p in zip(GENERATORS, mono)
-                if p > 0
-            ]
-            coeff = str(self._terms[mono])
-            lhs = f"({coeff})" if len(self._terms[mono]) > 1 else coeff
-            bits.append("*".join(([lhs] if lhs != "1" or not factors else []) + factors) or "1")
+        for mono in sorted(self._terms, key=lambda m: (_degree(m), m)):
+            factors = [g if p == 1 else f"{g}^{p}" for g, p in zip(VARIABLES, mono) if p]
+            coeff = self._terms[mono]
+            if coeff != 1 or not factors:
+                factors.insert(0, str(coeff))
+            bits.append("*".join(factors))
         return " + ".join(bits)
 
     def __repr__(self) -> str:
@@ -256,8 +263,40 @@ class GradedClass:
 
 
 # ----------------------------------------------------------------------
-# Pushforward tables
+# Bases and pushforward tables
 # ----------------------------------------------------------------------
+
+
+class _Base(NamedTuple):
+    """A base that integrals end on, given by its point class k^a*h^b,
+    which integrates to d^v.  The base relations: a monomial in k, h with
+    an exponent above the point class's vanishes."""
+
+    a: int
+    b: int
+    v: int
+
+    def reduce(self, cls: GradedClass) -> GradedClass:
+        kept = {m: c for m, c in cls.terms.items() if m[0] <= self.a and m[1] <= self.b}
+        return GradedClass(kept)
+
+    def integrate(self, cls: GradedClass) -> MultiPoly:
+        """The integral of a class of the base's dimension in k, h, over Z[d, j]."""
+        out: dict[tuple[int, int], Coeff] = {}
+        for mono, coeff in cls.terms.items():
+            if mono[2] or mono[3] or mono[0] + mono[1] != self.a + self.b:
+                raise ValueError(f"cannot integrate monomial {mono} over the base")
+            if mono[:2] == (self.a, self.b):
+                key = (mono[4] + self.v, mono[5])
+                out[key] = out.get(key, 0) + coeff
+        return MultiPoly(COEFF_VARS, out)
+
+
+_DUAL_PLANE_X_CURVE = _Base(2, 1, 1)  # k^3 = h^2 = 0; k^2*h evaluates to d
+_PLANE = _Base(2, 0, 0)  # k^3 = h = 0; k^2 evaluates to 1
+
+_evaluate_on_base = _DUAL_PLANE_X_CURVE.integrate
+_evaluate_on_plane = _PLANE.integrate
 
 
 @dataclass(frozen=True)
@@ -273,87 +312,44 @@ class PushforwardTable:
     fiber: int
     images: tuple[GradedClass, ...]
 
+    @classmethod
+    def from_chern(
+        cls, name: str, fiber: str, chern: GradedClass, base: _Base
+    ) -> "PushforwardTable":
+        """The table of a P^1-bundle P(E) over ``base``, from c(E): fiber^i
+        goes to (-1)^i s_{i-1}(E), with s(E) = 1/c(E) reduced by the base
+        relations."""
+        segre = base.reduce(chern.inverse())
+        images = [GradedClass.zero()]
+        images += [(-1) ** i * segre.graded_part(i - 1) for i in range(1, TOP_DEGREE + 1)]
+        return cls(name, GENERATORS.index(fiber), tuple(images))
+
     def apply(self, cls: GradedClass) -> GradedClass:
         out = GradedClass.zero()
         for mono, coeff in cls.terms.items():
             i = mono[self.fiber]
             if i >= len(self.images):
-                raise ValueError(
-                    f"no pushforward image for fiber power {i} in table {self.name}"
-                )
-            base = list(mono)
-            base[self.fiber] = 0
-            carrier = GradedClass({tuple(base): coeff})
-            out = out + carrier * self.images[i]
+                raise ValueError(f"no pushforward image for fiber power {i} in table {self.name}")
+            base = mono[: self.fiber] + (0,) + mono[self.fiber + 1 :]
+            out = out + GradedClass({base: coeff}) * self.images[i]
         return out
 
 
-def _table_first_directions() -> PushforwardTable:
-    """e-powers down the direction bundle over the dual-plane x curve base."""
+def _stage_table(stage: str) -> PushforwardTable:
+    """The one fiber-class substitution of a stage, from the c(E) column
+    of the module docstring."""
     d = coeff_d()
-    k, h = GradedClass.generator("k"), GradedClass.generator("h")
-    return PushforwardTable(
-        name="first-directions",
-        fiber=2,
-        images=(
-            GradedClass.zero(),
-            -GradedClass.unit(),
-            -3 * k + (2 * d - 6) * h,
-            -6 * k**2 + (9 * d - 27) * k * h,
-            (24 * d - 72) * k**2 * h,
-        ),
-    )
-
-
-def _table_flex_plane() -> PushforwardTable:
-    """e-powers down the flex-supported bundle; h restricts to 0 there."""
-    k = GradedClass.generator("k")
-    return PushforwardTable(
-        name="flex-plane",
-        fiber=2,
-        images=(GradedClass.zero(), -GradedClass.unit(), -3 * k, -6 * k**2),
-    )
-
-
-def _table_higher() -> PushforwardTable:
-    """f-powers down one level of the iterated flex blow-ups."""
-    e = GradedClass.generator("e")
-    return PushforwardTable(
-        name="higher-levels",
-        fiber=3,
-        images=(GradedClass.zero(), -GradedClass.unit(), -e, -(e**2), -(e**3)),
-    )
-
-
-# The one fiber-class substitution of each stage that has one; shared by
-# ``pushforward`` and ``_center_spec``.
-_STAGE_TABLES: dict[str, Callable[[], PushforwardTable]] = {
-    "second": _table_first_directions,
-    "flex": _table_flex_plane,
-    "higher": _table_higher,
-}
-
-
-def _evaluate_on_base(cls: GradedClass) -> CoeffPoly:
-    """Integrate a degree-3 class in k, h over the dual-plane x curve base:
-    k^2*h evaluates to d; k^3, k*h^2, h^3 evaluate to 0."""
-    total = coeff_const(0)
-    for mono, coeff in cls.terms.items():
-        if mono[2] or mono[3] or sum(mono) != 3:
-            raise ValueError(f"cannot integrate monomial {mono} over the base")
-        if mono[:2] == (2, 1):
-            total = total + coeff * coeff_d()
-    return total
-
-
-def _evaluate_on_plane(cls: GradedClass) -> CoeffPoly:
-    """Integrate a degree-2 class in k over a plane: k^2 evaluates to 1."""
-    total = coeff_const(0)
-    for mono, coeff in cls.terms.items():
-        if mono != (2, 0, 0, 0):
-            raise ValueError(f"cannot integrate monomial {mono} over a plane")
-        total = total + coeff
-    return total
+    one = GradedClass.unit()
+    k, h, e = (GradedClass.generator(g) for g in ("k", "h", "e"))
+    if stage == "second":
+        chern = one + 3 * k - (2 * d - 6) * h + 3 * k**2 - (3 * d - 9) * k * h
+        return PushforwardTable.from_chern("first-directions", "e", chern, _DUAL_PLANE_X_CURVE)
+    if stage == "flex":
+        return PushforwardTable.from_chern("flex-plane", "e", one + 3 * k + 3 * k**2, _PLANE)
+    if stage == "higher":
+        # The level below lies over a plane, so the plane's relations hold there.
+        return PushforwardTable.from_chern("higher-levels", "f", one + e, _PLANE)
+    raise ValueError(f"no single pushforward table for stage {stage!r}")
 
 
 # ----------------------------------------------------------------------
@@ -374,9 +370,9 @@ class CenterSpec:
     point_class: GradedClass
     normal_chern: GradedClass
     tables: tuple[PushforwardTable, ...]
-    evaluate: Callable[[GradedClass], CoeffPoly]
+    evaluate: Callable[[GradedClass], MultiPoly]
 
-    def integrate(self, cls: GradedClass) -> CoeffPoly:
+    def integrate(self, cls: GradedClass) -> MultiPoly:
         for table in self.tables:
             cls = table.apply(cls)
         return self.evaluate(cls)
@@ -393,16 +389,16 @@ def _center_spec(name: str) -> CenterSpec:
         return CenterSpec(name, 3, d * k + d * h, chern, (), _evaluate_on_base)
     if name == "second":
         chern = (one + e) * (one + k + d * h - e) ** 3
-        tables = (_STAGE_TABLES["second"](),)
+        tables = (_stage_table("second"),)
         return CenterSpec(name, 4, d * k + d * h - e, chern, tables, _evaluate_on_base)
     if name == "flex":
         chern = (one + e) * (one + k - 2 * e) ** 3
-        tables = (_STAGE_TABLES["flex"](),)
+        tables = (_stage_table("flex"),)
         return CenterSpec(name, 3, d * k - 2 * e, chern, tables, _evaluate_on_plane)
     if name == "higher":
         point = d * k - 2 * e - (j - 2) * f
         chern = (one + f) * (one + k - 2 * e - (j - 2) * f) ** 3
-        tables = (_STAGE_TABLES["higher"](), _STAGE_TABLES["flex"]())
+        tables = (_stage_table("higher"), _stage_table("flex"))
         return CenterSpec(name, 4, point, chern, tables, _evaluate_on_plane)
     raise KeyError(name)
 
@@ -414,12 +410,10 @@ def pushforward(cls: GradedClass, stage: str) -> GradedClass:
     "flex" pushes powers of e to a plane, "higher" pushes powers of f one
     level down; base classes carry through by the projection formula.
     """
-    if stage not in _STAGE_TABLES:
-        raise ValueError(f"no single pushforward table for stage {stage!r}")
-    return _STAGE_TABLES[stage]().apply(cls)
+    return _stage_table(stage).apply(cls)
 
 
-def correction_integral(stage_name: str) -> CoeffPoly:
+def correction_integral(stage_name: str) -> MultiPoly:
     """The per-center correction, exactly, as an element of Z[d, j].
 
     Only the "higher" stage actually involves j; the others return
@@ -435,7 +429,7 @@ def correction_integral(stage_name: str) -> CoeffPoly:
 # ----------------------------------------------------------------------
 
 
-def _d_only(p: CoeffPoly) -> MultiPoly:
+def _d_only(p: MultiPoly) -> MultiPoly:
     """Reinterpret a Z[d, j] polynomial not involving j as Z[d]."""
     out: dict[tuple[int], Fraction] = {}
     for (ed, ej), c in p.terms.items():
@@ -446,10 +440,10 @@ def _d_only(p: CoeffPoly) -> MultiPoly:
 
 
 def _simple_flex_assembly(
-    i_first: CoeffPoly, i_second: CoeffPoly, i_flex: CoeffPoly
+    i_first: MultiPoly, i_second: MultiPoly, i_flex: MultiPoly
 ) -> MultiPoly:
     """d^8 minus the two base corrections and 3d(d-2) flex corrections, in Z[d]."""
-    d = coeff_d()
+    d = MultiPoly.var(COEFF_VARS, "d")
     return _d_only(d**8 - i_first - i_second - 3 * d * (d - 2) * i_flex)
 
 
@@ -492,8 +486,7 @@ def verify_identities() -> list[tuple[str, bool, str, str]]:
     Returns (name, passed, derived, expected) tuples; every comparison is
     an exact polynomial identity in Z[d] or Z[d, j].
     """
-    d = coeff_d()
-    j = coeff_j()
+    d, j = (MultiPoly.var(COEFF_VARS, v) for v in COEFF_VARS)
     checks: list[tuple[str, bool, str, str]] = []
 
     def record(name: str, derived: MultiPoly, expected: MultiPoly) -> None:

@@ -34,21 +34,22 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd as int_gcd
 from typing import Callable, Mapping, Sequence
 
 from .exactpoly import (
     IntPoly,
     MultiPoly,
-    factor_integer,
     gradient,
     hessian_determinant,
+    is_prime,
     linear_substitute,
     resultant,
     squarefree_decompose,
 )
 from .exactpoly.multipoly import common_denominator
-from .exactpoly.unipoly import _primitive
+from .exactpoly.unipoly import _derivative, _divexact, _primitive
 from .exactpoly.unipoly import gcd as poly_gcd
 
 RETRY_BUDGET = 8
@@ -349,29 +350,41 @@ def _binary_common_roots(
 
 
 def _rational_roots(ints: IntPoly) -> list[Fraction]:
-    """All rational roots of a nonzero integer polynomial (rational root test)."""
-    roots: list[Fraction] = []
-    val = next(i for i, c in enumerate(ints) if c != 0)
-    if val > 0:
-        roots.append(Fraction(0))
-        ints = ints[val:]
-    if len(ints) < 2:
-        return roots
-    lead, trail = abs(ints[-1]), abs(ints[0])
-    num_divs = _divisors(trail)
-    den_divs = _divisors(lead)
-    if num_divs is None or den_divs is None:
-        return roots
-    seen = set()
-    for a in num_divs:
-        for q in den_divs:
-            for cand in (Fraction(a, q), Fraction(-a, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if _vanishes_at(ints, cand.numerator, cand.denominator):
-                    roots.append(cand)
-    return roots
+    """All rational roots of a nonzero integer polynomial, in increasing
+    order, found without factoring any coefficient.
+
+    A root a/q of the squarefree part p, in lowest terms, makes lc*a/q an
+    integer of size at most |lc*c|, c the lowest nonzero coefficient.  Each
+    such root is a simple root modulo a prime that divides neither lc nor p'
+    at a root of p; it is Hensel-lifted until the modulus exceeds 2|lc*c|,
+    and lc*root, balanced and divided by lc, is tested exactly.
+    """
+    p = _divexact(ints, poly_gcd(ints, _derivative(ints)))
+    dp = _derivative(p)
+    lead = p[-1]
+    for prime in (n for n in count(2) if lead % n and is_prime(n)):
+        residues = [r for r in range(prime) if _value_mod(p, r, prime) == 0]
+        if all(_value_mod(dp, r, prime) for r in residues):
+            break
+    bound = 2 * abs(lead * next(c for c in p if c))
+    roots = []
+    for r in residues:
+        m = prime
+        while m <= bound:
+            m *= m
+            r = (r - _value_mod(p, r, m) * pow(_value_mod(dp, r, m), -1, m)) % m
+        n = lead * r % m
+        cand = Fraction(n - m if 2 * n > m else n, lead)
+        if _vanishes_at(p, cand.numerator, cand.denominator):
+            roots.append(cand)
+    return sorted(roots)
+
+
+def _value_mod(p: IntPoly, x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def _vanishes_at(p: IntPoly, a: int, q: int) -> bool:
@@ -382,15 +395,6 @@ def _vanishes_at(p: IntPoly, a: int, q: int) -> bool:
         acc = acc * a + c * scale
         scale *= q
     return acc == 0
-
-
-def _divisors(n: int, cap: int = 4096) -> list[int] | None:
-    divs = [1]
-    for prime, exp in factor_integer(n):
-        divs = [d * prime**k for d in divs for k in range(exp + 1)]
-        if len(divs) > cap:
-            return None
-    return divs
 
 
 def _find_rational_witness(

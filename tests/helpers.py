@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
 
-from orbitflex.exactpoly import MultiPoly, det3, is_prime
+from orbitflex.exactpoly import MultiPoly, det3, factor_integer, is_prime
 from orbitflex.exactpoly.unipoly import (
     _deg,
     _divides,
@@ -282,3 +282,42 @@ def substitute_expanded(form: MultiPoly, matrix: list[list[int]]) -> MultiPoly:
         for e, tc in term.terms.items():
             out[e] = out.get(e, 0) + tc
     return MultiPoly(vs, out)
+
+
+def rational_roots_by_divisors(ints: list[int]) -> list[Fraction]:
+    """Rational roots of a nonzero integer polynomial by the rational root
+    test over every divisor pair of the trailing and leading coefficients.
+    Factors both coefficients, and returns only the zero root when either
+    has more than 4096 divisors."""
+    roots: list[Fraction] = []
+    val = next(i for i, c in enumerate(ints) if c != 0)
+    if val > 0:
+        roots.append(Fraction(0))
+        ints = ints[val:]
+    if len(ints) < 2:
+        return roots
+    lead, trail = abs(ints[-1]), abs(ints[0])
+    num_divs = _divisors(trail)
+    den_divs = _divisors(lead)
+    if num_divs is None or den_divs is None:
+        return roots
+    seen = set()
+    for a in num_divs:
+        for q in den_divs:
+            for cand in (Fraction(a, q), Fraction(-a, q)):
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                num, den, n = cand.numerator, cand.denominator, len(ints) - 1
+                if sum(c * num**i * den ** (n - i) for i, c in enumerate(ints)) == 0:
+                    roots.append(cand)
+    return roots
+
+
+def _divisors(n: int, cap: int = 4096) -> list[int] | None:
+    divs = [1]
+    for prime, exp in factor_integer(n):
+        divs = [d * prime**k for d in divs for k in range(exp + 1)]
+        if len(divs) > cap:
+            return None
+    return divs

@@ -3,10 +3,13 @@ import random
 import pytest
 
 from orbitflex.chowcalc import (
+    TOP_DEGREE,
+    VARIABLES,
     GradedClass,
     NonUnitDenominatorError,
     PushforwardTable,
     _center_spec,
+    _stage_table,
     _evaluate_on_base,
     _evaluate_on_plane,
     coeff_d,
@@ -80,9 +83,72 @@ def test_truncation_drops_high_degrees():
     assert not (k**2 * h**2).is_zero()
 
 
+def random_class_terms(rng):
+    """Up to six terms of generator degree <= TOP_DEGREE, with d and j
+    exponents up to 2 on top."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = [0, 0, 0, 0]
+        for _ in range(rng.randint(0, TOP_DEGREE)):
+            exps[rng.randrange(4)] += 1
+        terms[(*exps, rng.randint(0, 2), rng.randint(0, 2))] = rng.randint(-3, 3)
+    return terms
+
+
+def truncated(p):
+    return MultiPoly(VARIABLES, {m: c for m, c in p.terms.items() if sum(m[:4]) <= TOP_DEGREE})
+
+
+def test_class_arithmetic_matches_multipoly():
+    # d and j are exponents of degree 0: sums, products and inverses equal
+    # MultiPoly arithmetic over all six variables, truncated in k, h, e, f.
+    rng = random.Random(79)
+    one = MultiPoly.const(VARIABLES, 1)
+    for _ in range(40):
+        a, b = random_class_terms(rng), random_class_terms(rng)
+        pa, pb = MultiPoly(VARIABLES, a), MultiPoly(VARIABLES, b)
+        assert (GradedClass(a) + GradedClass(b)).terms == (pa + pb).terms
+        assert (GradedClass(a) * GradedClass(b)).terms == truncated(pa * pb).terms
+        unit = {m: c for m, c in a.items() if sum(m[:4])}
+        unit[(0,) * 6] = 1
+        rest = one - MultiPoly(VARIABLES, unit)
+        series, power = one, one
+        for _ in range(TOP_DEGREE):
+            power = truncated(power * rest)
+            series = series + power
+        assert GradedClass(unit).inverse().terms == series.terms
+
+
 # ----------------------------------------------------------------------
 # Pushforward tables
 # ----------------------------------------------------------------------
+
+
+def hand_written_images():
+    """The pushforward images as tabulated by hand, before the tables were
+    derived from Segre classes: the oracle for the derived tables."""
+    one, k, h, e, f = gens()
+    d = coeff_d()
+    zero = GradedClass.zero()
+    return {
+        "second": (
+            zero,
+            -one,
+            -3 * k + (2 * d - 6) * h,
+            -6 * k**2 + (9 * d - 27) * k * h,
+            (24 * d - 72) * k**2 * h,
+        ),
+        "flex": (zero, -one, -3 * k, -6 * k**2),
+        "higher": (zero, -one, -e, -(e**2), -(e**3)),
+    }
+
+
+def test_derived_images_match_hand_written_tables():
+    for stage, images in hand_written_images().items():
+        derived = _stage_table(stage).images
+        assert len(derived) == TOP_DEGREE + 1
+        assert derived[: len(images)] == images
+        assert all(image.is_zero() for image in derived[len(images) :])
 
 
 def test_pushforward_e_squared_second_stage():

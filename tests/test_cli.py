@@ -215,11 +215,23 @@ def test_fractional_coefficient_curve_through_cli(capsys):
     assert "order 1 x 9" in out
 
 
-def test_genericity_failure_exits_one(capsys):
-    # singular only at irrational points: neither certificate nor witness
-    code, _, err = run(capsys, "flexes", "(x^2 - 2y^2)^2 + z^3*x")
-    assert code == 1
-    assert "could not certify" in err
+def test_genericity_failure_exits_one():
+    # Singular only at irrational points: neither certificate nor witness.
+    # Each curve runs in its own process with a timeout, so a search that
+    # does not end fails the test instead of hanging the suite.
+    import subprocess
+    import sys
+
+    for curve in ("(x^2 - 2y^2)^2 + z^3*x", "(x^2 - 1000003*z^2)^2 + y^4"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbitflex", "flexes", curve],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1, curve
+        assert "could not certify" in proc.stderr
+        assert "most likely singular at irrational points" in proc.stderr
 
 
 def test_module_entry_point():

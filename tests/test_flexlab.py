@@ -27,7 +27,7 @@ from orbitflex.flexlab import (
     random_unimodular,
 )
 from orbitflex.polyparse import parse_form
-from helpers import random_smooth_curve
+from helpers import random_smooth_curve, rational_roots_by_divisors
 
 def curve(src: str) -> PlaneCurve:
     form, _ = parse_form(src)
@@ -70,15 +70,21 @@ def test_singular_interior_point():
 
 
 def test_off_axis_rational_singularity():
-    # translate the cusp x^2 z = y^3 by x -> x + z, y -> y + z:
-    # singular point moves to (-1 : -1 : 1).
-    form, _ = parse_form("(x + z)^2*z - (y + z)^3")
-    with pytest.raises(SingularCurveError) as err:
-        check_smooth(form)
-    assert err.value.witness is not None
-    x0, y0, z0 = err.value.witness
-    grads = [form.diff(v) for v in ("x", "y", "z")]
-    assert all(g.evaluate((x0, y0, z0)) == 0 for g in grads)
+    for src in (
+        # translate the cusp x^2 z = y^3 by x -> x + z, y -> y + z:
+        # singular point moves to (-1 : -1 : 1).
+        "(x + z)^2*z - (y + z)^3",
+        # five lines, singular at several rational points; a rational root
+        # search over divisors gave up on the coefficients here.
+        "y*(x - 2*z)*(x + y - 2*z)*(2*x - 3*y - 2*z)*(2*x + 3*y + 2*z)",
+    ):
+        form, _ = parse_form(src)
+        with pytest.raises(SingularCurveError) as err:
+            check_smooth(form)
+        assert err.value.witness is not None
+        x0, y0, z0 = err.value.witness
+        grads = [form.diff(v) for v in ("x", "y", "z")]
+        assert all(g.evaluate((x0, y0, z0)) == 0 for g in grads)
 
 
 def test_low_degree_rejected():
@@ -393,6 +399,53 @@ def test_irrational_singularities_cannot_be_certified():
     with pytest.raises(GenericityFailureError) as err:
         check_smooth(form)
     assert "irrational" in str(err.value)
+
+
+def _planted(rng, roots, others):
+    """content * prod (q x - a) over the roots a/q, times the ``others``."""
+    p = [rng.choice([-6, -2, -1, 1, 3, 10])]
+    for f in [[-r.numerator, r.denominator] for r in roots] + list(others):
+        prod = [0] * (len(p) + len(f) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(f):
+                prod[i + j] += x * y
+        p = prod
+    return p
+
+
+# x^2 - 2, x^2 + x + 1, x^3 - 3, 9x^2 + 5: no rational root.
+_NO_RATIONAL_ROOT = ([-2, 0, 1], [1, 1, 1], [-3, 0, 0, 1], [5, 0, 9])
+
+
+def test_rational_roots_agree_with_divisor_search():
+    rng = random.Random(83)
+    for _ in range(200):
+        roots = [
+            Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))
+        ]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 2)))  # repeated
+        if rng.random() < 0.2:
+            roots.append(Fraction(0))
+        p = _planted(rng, roots, rng.sample(_NO_RATIONAL_ROOT, rng.randint(0, 2)))
+        expected = sorted(set(roots))
+        assert sorted(rational_roots_by_divisors(p)) == expected
+        assert flexlab._rational_roots(p) == expected
+
+
+def test_rational_roots_with_large_prime_factors():
+    # Coefficients a divisor search would have to factor: large primes and
+    # products of two of them, as in (x^2 - 1000003 z^2)^2 + y^4.
+    rng = random.Random(89)
+    big = [1000003, 2**61 - 1, 1000003 * 1000033, (2**31 - 1) * (2**61 - 1)]
+    others = _NO_RATIONAL_ROOT + ([-1000003, 0, 1], [2**61 - 1, 0, 1000033])
+    for _ in range(40):
+        roots = [
+            Fraction(rng.choice(big) * rng.choice([-1, 1]), rng.choice([1, 3, 1000033, 2**31 - 1]))
+            for _ in range(rng.randint(0, 3))
+        ]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 1)))
+        p = _planted(rng, roots, rng.sample(others, rng.randint(0, 2)))
+        assert flexlab._rational_roots(p) == sorted(set(roots))
 
 
 def _small_rational_points(form, bound=3):
