@@ -6,7 +6,9 @@ integral and ``Fraction``s only otherwise, dense integer univariate
 polynomials with gcd and squarefree machinery, resultants of bivariate
 polynomials (subresultant remainder sequences at integer points, then
 integer interpolation), and integer factorization.  Everything here is
-exact; nothing rounds, ever.
+exact; nothing rounds, ever.  The curve kernels take integer coefficients
+only, and ``resultant`` a nonzero constant top coefficient in the
+eliminated variable; other input raises.
 """
 
 from .intfactor import factor_integer, format_factorization, is_prime, multiply_back

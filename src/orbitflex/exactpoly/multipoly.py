@@ -16,9 +16,10 @@ use graded-lexicographic order (total degree first, then lexicographic on
 the exponent vector), which is also the canonical text form understood by
 the expression parser.
 
-The two products the curve pipeline takes of ternary forms, the Hessian
-determinant and the linear change of coordinates, are single computations
-on big integers into which the forms are packed (Kronecker substitution).
+The two products the curve pipeline takes of ternary integer forms, the
+Hessian determinant and the linear change of coordinates, are single
+computations on big integers into which the forms are packed (Kronecker
+substitution).
 """
 
 from __future__ import annotations
@@ -385,33 +386,36 @@ def det3(m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _require_integral(p: MultiPoly) -> None:
+    if any(type(c) is not int for c in p._terms.values()):
+        raise TypeError(f"expected integer coefficients, got {p}")
+
+
 def _unpack_form(
-    packed: int, b: int, width: int, degree: int, den: int, variables: Sequence[str]
+    packed: int, b: int, width: int, degree: int, variables: Sequence[str]
 ) -> MultiPoly:
     """The ternary form of the given degree whose coefficient of
-    x**i * y**j * z**(degree-i-j), times ``den``, is the balanced base-2**b
-    digit of ``packed`` at slot i*width + j, each digit below 2**(b-1) in
-    absolute value; a negative ``packed`` holds the negated form."""
+    x**i * y**j * z**(degree-i-j) is the balanced base-2**b digit of
+    ``packed`` at slot i*width + j, each digit below 2**(b-1) in absolute
+    value; a negative ``packed`` holds the negated form."""
     sign = -1 if packed < 0 else 1
-    scale = sign if den == 1 else Fraction(sign, den)
     out = {}
     for slot, c in enumerate(_unpack(abs(packed), b)):
         if c:
             i, j = divmod(slot, width)
-            out[i, j, degree - i - j] = c * scale
+            out[i, j, degree - i - j] = c * sign
     return MultiPoly(variables, out)
 
 
 def hessian_determinant(form: MultiPoly) -> MultiPoly:
     """Determinant of the matrix of second partials of a ternary form.
 
-    The input must be homogeneous of degree >= 2 in exactly three
-    variables; the result is homogeneous of degree 3*(d - 2), or zero when
-    the second-derivative matrix is everywhere rank-deficient.
+    The input must be an integer form, homogeneous of degree >= 2 in
+    exactly three variables; the result is homogeneous of degree 3*(d - 2),
+    or zero when the second-derivative matrix is everywhere rank-deficient.
 
     The determinant is taken on packed integers (Kronecker substitution).
-    Denominators are cleared once, as hess(D*F) = D**3 * hess(F).  A
-    second partial, of degree e = d - 2, packs its terms c*x**i*y**j*z**k
+    A second partial, of degree e = d - 2, packs its terms c*x**i*y**j*z**k
     as c * 2**(b * (i*(3e+1) + j)), so the determinant's monomials get
     distinct slots.  Its coefficients are at most 6*M**3 in absolute value,
     M the largest 1-norm of a second partial, so with 2**(b-1) > 6*M**3
@@ -423,8 +427,8 @@ def hessian_determinant(form: MultiPoly) -> MultiPoly:
     d = form.homogeneous_degree()
     if d < 2:
         raise ValueError(f"form degree must be at least 2, got {d}")
-    den = common_denominator(form._terms.values())
-    form, vs = form * den, form.variables
+    _require_integral(form)
+    vs = form.variables
     firsts = [form.diff(v) for v in vs]
     seconds = {(r, c): firsts[r].diff(vs[c]) for r in range(3) for c in range(r, 3)}
     norm = max(sum(map(abs, p._terms.values())) for p in seconds.values())
@@ -438,7 +442,7 @@ def hessian_determinant(form: MultiPoly) -> MultiPoly:
             dense[i * width + j] = c
         packed[rc] = _pack(dense, b)
     det = det3([[packed[min(r, c), max(r, c)] for c in range(3)] for r in range(3)])
-    return _unpack_form(det, b, width, 3 * e, den**3, vs)
+    return _unpack_form(det, b, width, 3 * e, vs)
 
 
 def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPoly:
@@ -446,12 +450,12 @@ def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPol
 
     ``matrix`` is a 3x3 integer matrix M; the result is p(M @ (x, y, z)),
     i.e. each variable is replaced by the corresponding row combination.
-    The input must be homogeneous; the zero polynomial maps to zero.
+    The input must be a homogeneous integer form; zero maps to zero.
 
     The composition is one sum on packed integers (Kronecker substitution),
-    like ``hessian_determinant``.  Denominators are cleared once.  At
-    z = 1 the result, of degree d, has terms x**i * y**j with i + j <= d;
-    with w = d + 1 each has its own slot i*w + j, so row r packs as
+    like ``hessian_determinant``.  At z = 1 the result, of degree d, has
+    terms x**i * y**j with i + j <= d; with w = d + 1 each has its own
+    slot i*w + j, so row r packs as
     L_r = m_r0 * 2**(b*w) + m_r1 * 2**b + m_r2, and the sum of
     c * L_0**i * L_1**j * L_2**k over the terms of p is the result at
     x = 2**(b*w), y = 2**b.  The 1-norm is subadditive and submultiplicative,
@@ -469,12 +473,11 @@ def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPol
     if not p._terms:
         return p
     d = p.homogeneous_degree()
-    den = common_denominator(p._terms.values())
-    terms = {e: c.numerator * (den // c.denominator) for e, c in p._terms.items()}
+    _require_integral(p)
     n0, n1, n2 = (sum(map(abs, r)) for r in rows)
-    bound = sum(abs(c) * n0**i * n1**j * n2**k for (i, j, k), c in terms.items())
+    bound = sum(abs(c) * n0**i * n1**j * n2**k for (i, j, k), c in p._terms.items())
     b = bound.bit_length() + 1
     images = [(m0 << (b * (d + 1))) + (m1 << b) + m2 for m0, m1, m2 in rows]
     x, y, z = (list(accumulate([im] * d, mul, initial=1)) for im in images)
-    packed = sum(c * x[i] * y[j] * z[k] for (i, j, k), c in terms.items())
-    return _unpack_form(packed, b, d + 1, d, den, p.variables)
+    packed = sum(c * x[i] * y[j] * z[k] for (i, j, k), c in p._terms.items())
+    return _unpack_form(packed, b, d + 1, d, p.variables)

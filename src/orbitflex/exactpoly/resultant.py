@@ -1,20 +1,19 @@
-"""Resultants of bivariate polynomials by evaluation and interpolation.
+"""Resultants of bivariate integer polynomials by evaluation and interpolation.
 
 ``resultant(f, g, var)`` eliminates ``var`` from two polynomials over the
 same two variables and returns a polynomial in the other one, x say.  The
 value is the determinant of the Sylvester matrix with the rows carrying
-f's coefficients first, but the matrix is never built:
+f's coefficients first, but the matrix is never built.  Both arguments
+have integer coefficients and a nonzero constant top coefficient in
+``var``, of degrees m, n >= 1, so neither degree drops at a point:
 
-* denominators are cleared per argument, using
-  Res(a*f, b*g) = a**n * b**m * Res(f, g) for degrees m, n in ``var``;
 * with D, E the total degrees of f and g, the result has degree at most
   k - 1 = n*D + m*E - m*n in x (3d(d-2) for a curve and its Hessian);
 * at each of the points x = 0, 1, ..., k-1 the resultant of the two
   integer polynomials in ``var`` comes from the subresultant polynomial
   remainder sequence over Z (Collins 1967; Brown & Traub 1971; Brown
-  1978), taken at the formal degrees m, n even where a leading
-  coefficient vanishes; the same sequence gives the first principal
-  subresultant coefficient sres_1 on request;
+  1978); the same sequence gives the first principal subresultant
+  coefficient sres_1 on request;
 * the k values are reassembled by Newton interpolation on integer forward
   differences scaled by (k-1)!, which is divided back out exactly at the
   end (Collins 1971).
@@ -25,12 +24,11 @@ term maps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from math import factorial
 from typing import Callable, Sequence
 
-from .multipoly import MultiPoly, common_denominator
+from .multipoly import MultiPoly
 from .unipoly import IntPoly, ZeroPolynomialError, _deg, _pseudo_rem, _trim
 
 
@@ -41,21 +39,21 @@ def resultant(
     *,
     first_subresultant: list[Callable[[], MultiPoly]] | None = None,
 ) -> MultiPoly:
-    """Resultant of bivariate f and g with respect to ``var``.
+    """Resultant in ``var`` of bivariate integer polynomials f and g.
 
-    Returns a polynomial over the remaining variable.  When one argument
-    is constant in ``var`` the usual convention applies:
-    Res(f, g) = f**deg(g) if deg(f) = 0, and 1 if both degrees are 0.
+    Returns an integer polynomial over the remaining variable.  Each
+    argument needs positive degree in ``var`` and a nonzero constant top
+    coefficient in ``var``; else it raises ValueError, and TypeError for a
+    coefficient that is not an integer.
 
     When ``first_subresultant`` is a list, a function of no arguments is
     appended to it that returns the first principal subresultant
     coefficient sres_1: the determinant of the Sylvester submatrix with
     the first n-1 rows of f, the first m-1 rows of g and the first m+n-2
-    columns, for degrees m, n >= 1 in ``var``.  Its values are read off
-    the same remainder sequences as the resultant's, and are interpolated
-    only when the function is called.  Where both leading coefficients
-    survive, a point x0 with sres_1(x0) != 0 has gcd(f(x0, .), g(x0, .))
-    of degree at most 1.
+    columns, for the degrees m, n in ``var``.  Its values are read off the
+    same remainder sequences as the resultant's, and are interpolated only
+    when the function is called.  A point x0 with sres_1(x0) != 0 has
+    gcd(f(x0, .), g(x0, .)) of degree at most 1.
     """
     if f.variables != g.variables:
         raise ValueError(f"operands over {f.variables} and {g.variables}")
@@ -63,53 +61,43 @@ def resultant(
         raise ZeroPolynomialError("resultant of the zero polynomial is undefined")
     if len(f.variables) != 2:
         raise ValueError(f"resultant needs two variables, got {f.variables}")
-    fc = f.coefficients_in(var)
-    gc = g.coefficients_in(var)
-    m, n = len(fc) - 1, len(gc) - 1
-    if first_subresultant is not None and min(m, n) < 1:
-        raise ValueError("sres_1 needs both degrees in the variable to be at least 1")
-    if m == 0:
-        return fc[0] ** n
-    if n == 0:
-        return gc[0] ** m
-    fi, a = _integer_coefficients(fc)
-    gi, b = _integer_coefficients(gc)
+    fi, gi = _dense_in(f, var), _dense_in(g, var)
+    m, n = len(fi) - 1, len(gi) - 1
     k = n * f.total_degree() + m * g.total_degree() - m * n + 1
     values, sres1 = zip(
         *(
-            _subresultants_at_formal_degrees(
-                [_horner(c, t) for c in fi], [_horner(c, t) for c in gi], m, n
-            )
+            _prs_subresultants([_horner(c, t) for c in fi], [_horner(c, t) for c in gi])
             for t in range(k)
         )
     )
-    rest = fc[0].variables
+    rest = tuple(v for v in f.variables if v != var)
     if first_subresultant is not None:
-        # sres_1 has degree at most (n-1)D + (m-1)E - mn + 1 < k in x, and
-        # sres_1(a*f, b*g) = a**(n-1) * b**(m-1) * sres_1(f, g).
-        scale = a ** (n - 1) * b ** (m - 1)
-        first_subresultant.append(partial(_from_values, sres1, scale, rest))
-    return _from_values(values, a**n * b**m, rest)
+        # sres_1 has degree at most (n-1)D + (m-1)E - mn + 1 < k in x.
+        first_subresultant.append(partial(_from_values, sres1, rest))
+    return _from_values(values, rest)
 
 
-def _from_values(values: Sequence[int], scale: int, variables: tuple[str, ...]) -> MultiPoly:
-    """The polynomial through (t, values[t] / scale), t = 0 .. k-1."""
-    coeffs = _interpolate(values)
-    if scale != 1:
-        coeffs = [Fraction(c, scale) for c in coeffs]
-    return MultiPoly(variables, {(i,): c for i, c in enumerate(coeffs) if c})
+def _dense_in(p: MultiPoly, var: str) -> list[IntPoly]:
+    """Coefficients of p in ``var``, lowest power first, each a dense
+    integer list in the other variable; checks the input contract."""
+    i = p._var_index(var)
+    rows: list[IntPoly] = [[] for _ in range(p.degree_in(var) + 1)]
+    for e, c in p.terms.items():
+        if type(c) is not int:
+            raise TypeError(f"resultant needs integer coefficients, got {c!r}")
+        row, j = rows[e[i]], e[1 - i]
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] = c
+    if len(rows) == 1:
+        raise ValueError(f"resultant needs positive degree in {var!r}")
+    if len(rows[-1]) != 1:
+        raise ValueError(f"the top coefficient in {var!r} must be a constant")
+    return rows
 
 
-def _integer_coefficients(cs: Sequence[MultiPoly]) -> tuple[list[IntPoly], int]:
-    """Dense integer coefficient lists of ``den * c`` for each c, and ``den``."""
-    den = common_denominator(q for c in cs for q in c.terms.values())
-    out: list[IntPoly] = []
-    for c in cs:
-        dense = [0] * ((c.total_degree() or 0) + 1)
-        for (e,), q in c.terms.items():
-            dense[e] = q.numerator * (den // q.denominator)
-        out.append(dense)
-    return out, den
+def _from_values(values: Sequence[int], variables: tuple[str, ...]) -> MultiPoly:
+    """The polynomial through (t, values[t]), t = 0 .. k-1."""
+    return MultiPoly(variables, {(i,): c for i, c in enumerate(_interpolate(values)) if c})
 
 
 def _horner(coeffs: Sequence[int], t: int) -> int:
@@ -119,52 +107,17 @@ def _horner(coeffs: Sequence[int], t: int) -> int:
     return acc
 
 
-def _subresultants_at_formal_degrees(
-    f: IntPoly, g: IntPoly, m: int, n: int
-) -> tuple[int, int]:
-    """(Res, sres_1) at the formal degrees m, n >= 1 of integer polynomials
-    with deg f <= m, deg g <= n.
-
-    Expanding the Sylvester matrix, or the sres_1 submatrix, along its
-    first column removes a vanished leading coefficient one degree at a
-    time.  For sres_1 this stops at formal degree 1: at degrees (m, 1) the
-    submatrix holds only rows of g, at (1, n) only rows of f, and it is
-    empty (determinant 1) when the other degree is 1 too, or else has a
-    zero first column, since that formal leading coefficient is zero.
-    """
-    f, g = _trim(f), _trim(g)
-    mf, ng = _deg(f), _deg(g)
-    if mf < m and ng < n:
-        return 0, int(m + n == 2)
-    res, sres1 = _prs_subresultants(f, g)
-    if ng < n:
-        lead = f[-1]
-        res *= lead ** (n - ng)
-        if ng < 1:
-            sres1, ng = int(m == 1), 1
-        return res, lead ** (n - ng) * sres1
-    if mf < m:
-        lead = g[-1]
-        res *= (-lead if n % 2 else lead) ** (m - mf)
-        if mf < 1:
-            sres1, mf = int(n == 1), 1
-        return res, (lead if n % 2 else -lead) ** (m - mf) * sres1
-    return res, sres1
-
-
 def _prs_subresultants(a: IntPoly, b: IntPoly) -> tuple[int, int]:
-    """(Res(a, b), sres_1(a, b)) at the actual degrees, by the subresultant PRS.
+    """(Res(a, b), sres_1(a, b)) of integer polynomials of positive degree,
+    by the subresultant PRS.
 
     The signed variant of Brown (1978) divides each pseudo-remainder by
     -lc(R_{i-1}) * c**delta, which makes R_i the subresultant S_{n_{i-1}-1}
     of the Sylvester convention above and -c_i the principal subresultant
     coefficient sres_{n_i}, where n_i = deg R_i.  So Res = -c at the step
     that reaches degree 0, and sres_1 = -c at the step that reaches degree
-    1, or 0 when the chain skips it.  The sres_1 value is only meaningful
-    when both degrees are at least 1.
+    1, or 0 when the chain skips it.
     """
-    if not a or not b:
-        return 0, 0
     da, db = _deg(a), _deg(b)
     res_sign = sres1_sign = 1
     if da < db:

@@ -185,11 +185,11 @@ def _integer_form(p: MultiPoly) -> MultiPoly:
 
 
 def _int_poly(p: MultiPoly) -> IntPoly:
-    """Primitive integer coefficient list of a univariate polynomial."""
+    """Primitive coefficient list of a univariate integer polynomial."""
     if p.is_zero():
         return []
     dense = [0] * (p.total_degree() + 1)
-    for (e,), c in _integer_form(p).terms.items():
+    for (e,), c in p.terms.items():
         dense[e] = c
     return _primitive(dense)
 
@@ -400,17 +400,13 @@ def _vanishes_at(p: IntPoly, a: int, q: int) -> bool:
 def _find_rational_witness(
     grads: Sequence[MultiPoly], candidates: list[tuple[Fraction, Fraction]]
 ) -> Point | None:
+    """A rational common zero of the partials over a candidate (x0 : y0).
+    No fibre p(x0, y0, z) is zero: each p has a constant top z-coefficient."""
     for x0, y0 in candidates:
-        fibers = []
+        h: IntPoly = []
         for p in grads:  # the fibre p(x0, y0, z), read off p's coefficients in z
             fibre = {(k,): c.evaluate((x0, y0)) for k, c in enumerate(p.coefficients_in("z"))}
-            fibers.append(_int_poly(MultiPoly(("z",), fibre)))
-        if not any(fibers):
-            # Partials vanish along the whole line; pick any point on it.
-            return (x0, y0, Fraction(0))
-        h: IntPoly = []
-        for fib in fibers:
-            h = poly_gcd(h, fib)
+            h = poly_gcd(h, _int_poly(_integer_form(MultiPoly(("z",), fibre))))
         if len(h) == 1:
             continue
         for z0 in _rational_roots(h):

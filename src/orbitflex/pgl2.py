@@ -15,7 +15,6 @@ transformation), which gives an independent combinatorial oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,11 @@ def pgl2_predegree(cfg: TupleConfig) -> int:
 
 
 def pgl2_oracle(cfg: TupleConfig) -> int:
-    """Brute-force count over ordered triples of distinct support points."""
-    ms = cfg.multiplicities
-    return sum(
-        ms[i] * ms[j] * ms[k] for i, j, k in permutations(range(len(ms)), 3)
-    )
+    """Weighted count of ordered triples of distinct support points: six
+    times e_3 of the multiplicities, in one pass over the points."""
+    e1 = e2 = e3 = 0
+    for m in cfg.multiplicities:
+        e3 += e2 * m
+        e2 += e1 * m
+        e1 += m
+    return 6 * e3

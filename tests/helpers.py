@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 from orbitflex.exactpoly import MultiPoly, det3, factor_integer, is_prime
@@ -282,6 +282,13 @@ def substitute_expanded(form: MultiPoly, matrix: list[list[int]]) -> MultiPoly:
         for e, tc in term.terms.items():
             out[e] = out.get(e, 0) + tc
     return MultiPoly(vs, out)
+
+
+def ordered_triples_brute_force(multiplicities: tuple[int, ...]) -> int:
+    """Sum of m_i * m_j * m_k over ordered triples of distinct support
+    points, enumerated one by one."""
+    ms = multiplicities
+    return sum(ms[i] * ms[j] * ms[k] for i, j, k in permutations(range(len(ms)), 3))
 
 
 def rational_roots_by_divisors(ints: list[int]) -> list[Fraction]:

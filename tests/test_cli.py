@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,16 @@ def test_pgl2_command(capsys):
     code, out, _ = run(capsys, "pgl2", "--multiplicities", "2,1,1")
     assert code == 0
     assert "formula: 12" in out and "oracle:  12" in out
+
+
+def test_pgl2_many_points_is_fast(capsys):
+    # The oracle is one pass over the points, not a sum over ordered triples.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pgl2", "--multiplicities", ",".join(["1"] * 3000))
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    value = 3000 * 2999 * 2998
+    assert f"formula: {value}" in out and f"oracle:  {value}" in out
 
 
 def test_pgl2_bad_list(capsys):

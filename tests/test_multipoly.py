@@ -25,6 +25,12 @@ V = CURVE_VARS
 X = MultiPoly.var(V, "x")
 Y = MultiPoly.var(V, "y")
 Z = MultiPoly.var(V, "z")
+RATIONAL_FORMS = [
+    MultiPoly(V, {(4, 0, 0): Fraction(1, 2), (1, 3, 0): Fraction(-1, 3),
+                  (0, 1, 3): Fraction(5, 7), (2, 1, 1): 3}),
+    X**3 + Fraction(2, 9) * Y**2 * Z - Fraction(4, 15) * X * Y * Z,
+    Fraction(-1, 6) * Z**5,
+]
 
 
 def test_binomial_expansion():
@@ -100,6 +106,12 @@ def test_hessian_rejects_non_homogeneous():
         hessian_determinant(X**2 + Y**3)
 
 
+def test_hessian_rejects_rational_coefficients():
+    for form in RATIONAL_FORMS:
+        with pytest.raises(TypeError, match="integer coefficients"):
+            hessian_determinant(form)
+
+
 def test_linear_substitute_identity():
     p = X**3 * Y + Z**4
     assert linear_substitute(p, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == p
@@ -144,13 +156,6 @@ def test_linear_substitute_matches_expansion_oracle():
             form = random_homogeneous(rng, d, coeff_range=coeff)
             for sign in (1, -1):
                 cases.append((sign * form, random_unimodular(rng, bounds[len(cases) % 6])))
-    rational = [
-        MultiPoly(V, {(4, 0, 0): Fraction(1, 2), (1, 3, 0): Fraction(-1, 3),
-                      (0, 1, 3): Fraction(5, 7), (2, 1, 1): 3}),
-        X**3 + Fraction(2, 9) * Y**2 * Z - Fraction(4, 15) * X * Y * Z,
-        Fraction(-1, 6) * Z**5,
-    ]
-    cases += [(form, random_unimodular(rng, bound)) for form in rational for bound in bounds]
     cases.append((MultiPoly.zero(V), [[2, 1, 0], [1, 1, 1], [0, 3, 1]]))
     # A single monomial whose image coefficient c*m**d is the packing bound
     # itself, of either sign.
@@ -164,6 +169,13 @@ def test_linear_substitute_matches_expansion_oracle():
 def test_linear_substitute_rejects_non_homogeneous():
     with pytest.raises(NonHomogeneousError):
         linear_substitute(X**2 + Y, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_linear_substitute_rejects_rational_coefficients():
+    rng = random.Random(71)
+    for form in RATIONAL_FORMS:
+        with pytest.raises(TypeError, match="integer coefficients"):
+            linear_substitute(form, random_unimodular(rng, 3))
 
 
 def test_rational_coefficients_stay_exact():
@@ -198,10 +210,6 @@ def test_hessian_matches_cofactor_oracle():
             if not form.is_zero():
                 forms.append(form)
     forms += [
-        # rational coefficients
-        MultiPoly(V, {(4, 0, 0): Fraction(1, 2), (1, 3, 0): Fraction(-1, 3),
-                      (0, 1, 3): Fraction(5, 7), (2, 1, 1): 3}),
-        X**3 + Fraction(2, 9) * Y**2 * Z - Fraction(4, 15) * X * Y * Z,
         # Hessian matrices +-[[2, 2, 2], [2, -2, 2], [2, 2, -2]], determinant
         # +-4 * M**3 = +-32 with M = 2: a packing two bits narrower overflows
         X**2 - Y**2 - Z**2 + 2 * X * Y + 2 * X * Z + 2 * Y * Z,
@@ -233,9 +241,12 @@ def test_integral_coefficients_stay_int():
     with pytest.raises(TypeError):
         MultiPoly(V, {(1, 0, 0): 0.5})
 
+    # The centre (2:1:1) of the projection from (0:1:0) is on neither the
+    # curve nor its Hessian, as the resultant requires.
     F = X**4 + X * Y**3 + Y * Z**3
-    G = linear_substitute(F, [[1, 2, -1], [0, 1, 3], [1, 0, 1]])
+    G = linear_substitute(F, [[1, 2, 0], [0, 1, 1], [1, 1, 1]])
     H = hessian_determinant(G)
+    assert G.evaluate((0, 1, 0)) and H.evaluate((0, 1, 0))
     R = resultant(G.dehomogenize("z"), H.dehomogenize("z"), "y")
     for p in [G, H, R, *gradient(G)]:
         assert not p.is_zero() and all_int(p)

@@ -2,6 +2,8 @@ import pytest
 
 from orbitflex.pgl2 import TupleConfig, pgl2_oracle, pgl2_predegree
 
+from helpers import ordered_triples_brute_force
+
 
 def partitions(n: int, cap: int | None = None):
     """All multisets of positive integers summing to n (descending parts)."""
@@ -37,6 +39,7 @@ def test_oracle_equals_formula_exhaustively():
         for parts in partitions(d):
             cfg = TupleConfig(parts)
             assert pgl2_oracle(cfg) == pgl2_predegree(cfg), parts
+            assert pgl2_oracle(cfg) == ordered_triples_brute_force(parts), parts
 
 
 def test_all_distinct_closed_form():
