@@ -8,16 +8,7 @@ symbolic Chow-ring engine that derives the correction integrals from
 truncated graded-ring expansions and pushforward tables.
 """
 
-from .chowcalc import (
-    CenterSpec,
-    GradedClass,
-    NonUnitDenominatorError,
-    PushforwardTable,
-    correction_integral,
-    predegree_via_chow,
-    pushforward,
-    verify_identities,
-)
+from .chowcalc import correction_integral, verify_identities
 from .exactpoly import (
     MultiPoly,
     factor_integer,
@@ -44,7 +35,6 @@ from .orbitformulas import (
     PredegreeReport,
     aut_lcm_bound,
     build_report,
-    cyclic_curve_degree,
     fermat_predegree,
     flex_contribution,
     orbit_degree,

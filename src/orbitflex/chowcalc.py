@@ -72,7 +72,6 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple
 
 from .exactpoly import MultiPoly
-from .flexlab import FlexProfile
 from .orbitformulas import (
     cyclic_curve_degree_closed_form,
     fermat_predegree,
@@ -403,16 +402,6 @@ def _center_spec(name: str) -> CenterSpec:
     raise KeyError(name)
 
 
-def pushforward(cls: GradedClass, stage: str) -> GradedClass:
-    """One fiber-class substitution step on the named stage.
-
-    The "second" stage pushes powers of e to the dual-plane x curve base,
-    "flex" pushes powers of e to a plane, "higher" pushes powers of f one
-    level down; base classes carry through by the projection formula.
-    """
-    return _stage_table(stage).apply(cls)
-
-
 def correction_integral(stage_name: str) -> MultiPoly:
     """The per-center correction, exactly, as an element of Z[d, j].
 
@@ -445,39 +434,6 @@ def _simple_flex_assembly(
     """d^8 minus the two base corrections and 3d(d-2) flex corrections, in Z[d]."""
     d = MultiPoly.var(COEFF_VARS, "d")
     return _d_only(d**8 - i_first - i_second - 3 * d * (d - 2) * i_flex)
-
-
-def predegree_via_chow(
-    d: int | None, profile: "FlexProfile | Mapping[int, int] | None" = None
-) -> "int | MultiPoly":
-    """Predegree assembled from the derived correction integrals.
-
-    Numeric mode: ``d`` an integer with a valid profile for it.  Symbolic
-    mode: ``d = None`` with ``profile = None`` meaning the all-simple
-    profile of 3d(d-2) simple flexes; returns the polynomial in Z[d].
-    """
-    if d is None:
-        if profile is not None:
-            raise ValueError("symbolic mode supports only the all-simple profile")
-        return _simple_flex_assembly(
-            correction_integral("first"),
-            correction_integral("second"),
-            correction_integral("flex"),
-        )
-    if profile is None:
-        raise ValueError("numeric mode needs a flex profile")
-    flexes = FlexProfile(d, dict(profile.items()))
-    i_higher = correction_integral("higher")
-    total = (
-        Fraction(d) ** 8
-        - correction_integral("first").evaluate((d, 0))
-        - correction_integral("second").evaluate((d, 0))
-    )
-    for j in range(2, max(flexes.counts, default=0) + 2):
-        total -= flexes.flexes_of_order_above(j - 2) * i_higher.evaluate((d, j))
-    if total.denominator != 1:
-        raise RuntimeError(f"assembled predegree {total} is not an integer")
-    return int(total)
 
 
 def verify_identities() -> list[tuple[str, bool, str, str]]:

@@ -11,7 +11,7 @@ only, and ``resultant`` a nonzero constant top coefficient in the
 eliminated variable; other input raises.
 """
 
-from .intfactor import factor_integer, format_factorization, is_prime, multiply_back
+from .intfactor import factor_integer, format_factorization, is_prime
 from .multipoly import (
     MultiPoly,
     NonHomogeneousError,
@@ -42,7 +42,6 @@ __all__ = [
     "hessian_determinant",
     "is_prime",
     "linear_substitute",
-    "multiply_back",
     "resultant",
     "squarefree_decompose",
 ]

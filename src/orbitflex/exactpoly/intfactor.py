@@ -100,14 +100,6 @@ def factor_integer(n: int) -> list[tuple[int, int]]:
     return sorted(factors.items())
 
 
-def multiply_back(factors: list[tuple[int, int]]) -> int:
-    """Inverse of factor_integer; used by consistency checks."""
-    out = 1
-    for p, e in factors:
-        out *= p**e
-    return out
-
-
 def format_factorization(factors: list[tuple[int, int]]) -> str:
     """Render a factorization like ``2^3*3^3`` (``1`` for the empty one)."""
     if not factors:

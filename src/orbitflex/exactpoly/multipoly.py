@@ -150,9 +150,6 @@ class MultiPoly:
     def coefficient(self, exps: Exponent) -> Coeff:
         return self._terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Coeff:
-        return self._terms.get((0,) * len(self.variables), 0)
-
     def total_degree(self) -> int | None:
         """Total degree, or None for the zero polynomial."""
         if not self._terms:

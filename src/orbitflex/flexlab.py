@@ -96,26 +96,24 @@ class FlexProfile:
     __slots__ = ("degree", "_counts")
 
     def __init__(self, degree: int, counts: Mapping[int, int]):
+        if type(degree) is not int:
+            raise InconsistentProfileError(f"degree must be an integer, got {degree!r}")
         clean = {r: n for r, n in counts.items() if n != 0}
-        weighted = sum(r * n for r, n in clean.items())
-        if weighted != 3 * degree * (degree - 2):
-            raise InconsistentProfileError(
-                f"weighted flex count {weighted} != 3d(d-2) = {3*degree*(degree-2)}"
-            )
         for r, n in clean.items():
-            if r < 1 or n < 0:
-                raise InconsistentProfileError(f"invalid profile entry {r}: {n}")
+            if type(r) is not int or type(n) is not int or r < 1 or n < 0:
+                raise InconsistentProfileError(f"invalid profile entry {r!r}: {n!r}")
             if r > degree - 2:
                 raise InconsistentProfileError(
                     f"flex order {r} exceeds d-2 = {degree - 2} (a line meets the"
                     " curve with multiplicity at most d)"
                 )
+        weighted = sum(r * n for r, n in clean.items())
+        if weighted != 3 * degree * (degree - 2):
+            raise InconsistentProfileError(
+                f"weighted flex count {weighted} != 3d(d-2) = {3*degree*(degree-2)}"
+            )
         self.degree = degree
         self._counts = dict(sorted(clean.items()))
-
-    @classmethod
-    def all_simple(cls, degree: int) -> "FlexProfile":
-        return cls(degree, {1: 3 * degree * (degree - 2)})
 
     @property
     def counts(self) -> dict[int, int]:

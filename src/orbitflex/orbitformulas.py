@@ -39,14 +39,11 @@ class NonDivisibleError(ValueError):
     """A claimed automorphism order does not divide the predegree."""
 
 
-def d_symbol() -> MultiPoly:
-    """The formal degree variable, for symbolic Z[d] computations."""
-    return MultiPoly.var(("d",), "d")
-
-
-def _require_degree(d: DLike, minimum: int = 3) -> None:
-    if isinstance(d, int) and d < minimum:
-        raise ValueError(f"degree must be at least {minimum}, got {d}")
+def _require_degree(d: DLike) -> None:
+    """A numeric degree must be an ``int`` of at least 3; a polynomial
+    degree (symbolic mode) passes."""
+    if not isinstance(d, MultiPoly) and (type(d) is not int or d < 3):
+        raise ValueError(f"degree must be an integer of at least 3, got {d!r}")
 
 
 # ----------------------------------------------------------------------
@@ -182,17 +179,6 @@ def fermat_predegree_factored(d: DLike) -> DLike:
     """The same predegree in product form (divisible by d^2 by inspection)."""
     _require_degree(d)
     return d**2 * (d - 2) * (d**5 + 2 * d**4 - 26 * d**3 - 7 * d**2 + 192 * d - 192)
-
-
-def cyclic_curve_degree(d: int) -> int:
-    """Orbit-closure degree of x^(d-1)y + y^(d-1)z + z^(d-1)x for d >= 5.
-
-    The curve has three flexes of order d - 3, all other flexes simple,
-    and a stabilizer of order 3(d^2 - 3d + 3).
-    """
-    _require_degree(d, minimum=5)
-    pre = simple_flex_predegree(d) + 3 * flex_contribution(d - 3, d)
-    return orbit_degree(pre, 3 * (d**2 - 3 * d + 3))
 
 
 def cyclic_curve_degree_closed_form(d: DLike) -> DLike:

@@ -26,7 +26,7 @@ class TupleConfig:
     def __post_init__(self) -> None:
         if not self.multiplicities:
             raise ValueError("configuration needs at least one point")
-        if any(m < 1 for m in self.multiplicities):
+        if any(type(m) is not int or m < 1 for m in self.multiplicities):
             raise ValueError(f"multiplicities must be positive: {self.multiplicities}")
 
     @property

@@ -9,25 +9,21 @@ from orbitflex.chowcalc import (
     NonUnitDenominatorError,
     PushforwardTable,
     _center_spec,
-    _stage_table,
     _evaluate_on_base,
     _evaluate_on_plane,
+    _simple_flex_assembly,
+    _stage_table,
     coeff_d,
     correction_integral,
-    predegree_via_chow,
-    pushforward,
     verify_identities,
 )
 from orbitflex.exactpoly import MultiPoly
 from orbitflex.orbitformulas import (
-    InconsistentProfileError,
-    predegree_by_blowup_sum,
-    predegree_by_flex_orders,
-    predegree_by_power_sums,
+    first_blowup_term,
+    higher_blowup_term,
+    second_blowup_term,
     simple_flex_predegree,
 )
-from orbitflex.flexlab import FlexProfile, f_sums
-from helpers import random_valid_profile
 
 
 def gens():
@@ -154,31 +150,32 @@ def test_derived_images_match_hand_written_tables():
 def test_pushforward_e_squared_second_stage():
     one, k, h, e, f = gens()
     d = coeff_d()
-    assert pushforward(e**2, "second") == -3 * k + (2 * d - 6) * h
+    assert _stage_table("second").apply(e**2) == -3 * k + (2 * d - 6) * h
 
 
 def test_pushforward_projection_formula_example():
     one, k, h, e, f = gens()
-    assert pushforward(k * e, "second") == -k
+    assert _stage_table("second").apply(k * e) == -k
 
 
 def test_pushforward_f_squared_higher_stage():
     one, k, h, e, f = gens()
-    assert pushforward(f**2, "higher") == -e
+    assert _stage_table("higher").apply(f**2) == -e
 
 
 def test_pushforward_unit_is_zero_on_every_stage():
     for stage in ("second", "flex", "higher"):
         one = GradedClass.unit()
-        assert pushforward(one, stage).is_zero()
+        assert _stage_table(stage).apply(one).is_zero()
 
 
 def test_pushforward_linear_over_base_classes():
     rng = random.Random(71)
     one, k, h, e, f = gens()
+    second = _stage_table("second")
     for i in range(5):
         base = k ** rng.randint(0, 2) * h ** rng.randint(0, 1)
-        assert pushforward(base * e**i, "second") == base * pushforward(e**i, "second")
+        assert second.apply(base * e**i) == base * second.apply(e**i)
 
 
 # ----------------------------------------------------------------------
@@ -282,31 +279,29 @@ def test_expand_truncated_reproduces_first_integrand():
 
 def test_symbolic_assembly_matches_simple_flex_polynomial():
     dp = MultiPoly.var(("d",), "d")
-    assert predegree_via_chow(None) == simple_flex_predegree(dp)
+    assembled = _simple_flex_assembly(
+        correction_integral("first"), correction_integral("second"), correction_integral("flex")
+    )
+    assert assembled == simple_flex_predegree(dp)
 
 
 def test_numeric_assembly_examples():
-    assert predegree_via_chow(4, {1: 24}) == 14280
-    assert predegree_via_chow(3, {1: 9}) == 216
-    assert predegree_via_chow(4, {2: 12}) == 10752
-    assert predegree_via_chow(4, {2: 1, 1: 22}) == 13986
-
-
-def test_inconsistent_profile_rejected():
-    with pytest.raises(InconsistentProfileError):
-        predegree_via_chow(4, {1: 23})
+    assembled = _simple_flex_assembly(
+        correction_integral("first"), correction_integral("second"), correction_integral("flex")
+    )
+    assert [assembled.evaluate((d,)) for d in (3, 4, 5, 10)] == [216, 14280, 188340, 92790480]
 
 
 def test_chow_route_agrees_with_formula_routes():
-    rng = random.Random(73)
+    # The blow-up-sum route subtracts these terms at every (d, j) a
+    # profile of degree d reaches, so the derived integrals give the same
+    # predegree term by term; test_orbitformulas checks the three routes.
+    first, second, higher = (correction_integral(s) for s in ("first", "second", "higher"))
     for d in range(3, 9):
-        for _ in range(5):
-            profile = random_valid_profile(rng, d)
-            chow = predegree_via_chow(d, profile)
-            assert chow == predegree_by_blowup_sum(d, profile)
-            assert chow == predegree_by_flex_orders(d, profile)
-            sums = f_sums(FlexProfile(d, profile))
-            assert chow == predegree_by_power_sums(d, sums)
+        assert first.evaluate((d, 0)) == first_blowup_term(d)
+        assert second.evaluate((d, 0)) == second_blowup_term(d)
+        for j in range(2, d):
+            assert higher.evaluate((d, j)) == higher_blowup_term(j, d)
 
 
 def test_verify_identities_all_pass():

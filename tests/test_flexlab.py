@@ -13,7 +13,6 @@ from orbitflex.flexlab import (
     DEGREE_SHORT,
     NOT_SEPARATING,
     FlexProfile,
-    FlexSums,
     GenericityFailureError,
     PlaneCurve,
     INITIAL_BOUND,
@@ -355,11 +354,6 @@ def test_profile_validation():
         FlexProfile(4, {3: 8})  # order exceeds d - 2
     with pytest.raises(ValueError):
         FlexProfile(4, {1: 26, -1: 2})
-
-
-def test_all_simple_profile():
-    prof = FlexProfile.all_simple(5)
-    assert prof.counts == {1: 45}
 
 
 def test_f_sums_examples():

@@ -1,0 +1,69 @@
+"""Repository hygiene: the README's examples run, and no module imports a
+name it never uses."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "orbitflex"
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def test_readme_has_python_examples():
+    assert len(README_BLOCKS) >= 3
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_python_block_runs(index):
+    exec(compile(README_BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Names read anywhere, including inside quoted annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used |= _names_used(ast.parse(note.value, mode="eval"))
+    return used
+
+
+def unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            if any("noqa" in lines[i - 1] for i in range(node.lineno, node.end_lineno + 1)):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = _names_used(tree)
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from typing import Mapping, Sequence\n"
+        "import os.path  # noqa: F401\n"
+        'def f(x: "Mapping[int, int]") -> None: ...\n'
+    )
+    assert unused_imports(module) == ["Sequence (line 1)"]

@@ -2,15 +2,14 @@ import random
 
 import pytest
 
+from orbitflex.exactpoly import MultiPoly
 from orbitflex.flexlab import FlexProfile, FlexSums, f_sums
 from orbitflex.orbitformulas import (
     InconsistentProfileError,
     NonDivisibleError,
     aut_lcm_bound,
     build_report,
-    cyclic_curve_degree,
     cyclic_curve_degree_closed_form,
-    d_symbol,
     fermat_predegree,
     fermat_predegree_factored,
     flex_contribution,
@@ -21,6 +20,7 @@ from orbitflex.orbitformulas import (
     simple_flex_predegree,
     table_rows,
 )
+from orbitflex.pgl2 import TupleConfig
 from helpers import random_valid_profile
 
 TABLE = {
@@ -76,6 +76,25 @@ def test_inconsistent_profile_rejected():
         predegree_by_flex_orders(4, {3: 8})
 
 
+def test_non_integer_degree_or_profile_rejected():
+    # Floats once ran through every route: build_report(4, {1: 24.0}) gave
+    # the predegree 14280.0, and TupleConfig((2.5, 1.5)) a predegree of 0.0.
+    rejected = [
+        lambda: build_report(4, {1: 24.0}),
+        lambda: build_report(4.0, {1: 24}),
+        lambda: build_report(4, {1.0: 24}),
+        lambda: FlexProfile(3, {True: 9}),
+        lambda: FlexProfile(4, {1: "24"}),
+        lambda: predegree_by_power_sums(4.0, FlexSums(24, 24, 24, 24)),
+        lambda: simple_flex_predegree(4.0),
+        lambda: TupleConfig((2.5, 1.5)),
+        lambda: TupleConfig((True, 2)),
+    ]
+    for call in rejected:
+        with pytest.raises(ValueError):
+            call()
+
+
 # ----------------------------------------------------------------------
 # P(d), f_k(d)
 # ----------------------------------------------------------------------
@@ -93,7 +112,7 @@ def test_simple_flex_predegree_rejects_low_degree():
 
 
 def test_factored_and_expanded_forms_agree_symbolically():
-    d = d_symbol()
+    d = MultiPoly.var(("d",), "d")
     factored = d * (d - 2) * (
         d**6 + 2 * d**5 + 4 * d**4 + 8 * d**3 - 1356 * d**2 + 5280 * d - 5319
     )
@@ -103,7 +122,7 @@ def test_factored_and_expanded_forms_agree_symbolically():
 def test_flex_contribution_examples():
     assert flex_contribution(1, 4) == 0
     assert flex_contribution(0, 7) == 0
-    d = d_symbol()
+    d = MultiPoly.var(("d",), "d")
     assert flex_contribution(2, d) == -6 * (84 * d**2 - 512 * d + 753)
     assert flex_contribution(3, d) == -6 * (280 * d**2 - 1896 * d + 3141)
     assert flex_contribution(2, 4) == -294
@@ -159,7 +178,7 @@ def test_fermat_predegree_values():
 
 
 def test_fermat_identity_symbolic():
-    d = d_symbol()
+    d = MultiPoly.var(("d",), "d")
     assert fermat_predegree(d) == fermat_predegree_factored(d)
     assert fermat_predegree_factored(d) == d**2 * (d - 2) * (
         d**5 + 2 * d**4 - 26 * d**3 - 7 * d**2 + 192 * d - 192
@@ -172,21 +191,17 @@ def test_fermat_predegree_divisible_by_stabilizer():
 
 
 def test_cyclic_curve_degree_value():
-    assert cyclic_curve_degree(5) == 4694
+    # x^4*y + y^4*z + z^4*x: three flexes of order 2, stabilizer of order 39
+    assert build_report(5, {1: 39, 2: 3}, aut_order=39).orbit_degree == 4694
     # cross-check: (P(5) + 3 f_2(5)) / 39 with f_2(5) = -1758
     assert flex_contribution(2, 5) == -1758
     assert (188340 + 3 * -1758) // 39 == 4694
 
 
 def test_cyclic_identity_symbolic():
-    d = d_symbol()
+    d = MultiPoly.var(("d",), "d")
     numerator = simple_flex_predegree(d) + 3 * flex_contribution(d - 3, d)
     assert numerator == (d**2 - 3 * d + 3) * cyclic_curve_degree_closed_form(d)
-
-
-def test_cyclic_scoped_to_degree_five_and_up():
-    with pytest.raises(ValueError):
-        cyclic_curve_degree(4)
 
 
 # ----------------------------------------------------------------------
