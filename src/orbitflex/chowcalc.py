@@ -17,8 +17,8 @@ truncated graded ring on four degree-1 generators
     f  -- exceptional class of the later flex blow-ups (pulled back),
 
 with coefficients in Z[d, j] (d the curve degree, j the blow-up level,
-both formal).  A class is one map from exponent tuples (k, h, e, f, d, j)
-to plain numbers; d and j carry degree 0.
+both formal).  A class is a ``MultiPoly`` over (k, h, e, f, d, j) truncated
+above degree 4 in k, h, e, f; d and j carry degree 0.
 
 Integration pushes powers of a fiber class down a P^1-bundle P(E) -> B
 (base classes pass through by the projection formula) and ends on the
@@ -68,8 +68,7 @@ the closed form P(d); both are part of the identity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .exactpoly import MultiPoly
 from .orbitformulas import (
@@ -94,113 +93,47 @@ VARIABLES = GENERATORS + COEFF_VARS  # the exponent order of a monomial
 # its center's dimension.
 TOP_DEGREE = 4
 
-Coeff = int | Fraction
 Monomial = tuple[int, int, int, int, int, int]  # exponents of k, h, e, f, d, j
-_ONE: Monomial = (0, 0, 0, 0, 0, 0)
 
 
 def _degree(mono: Monomial) -> int:
     return mono[0] + mono[1] + mono[2] + mono[3]
 
 
-def coeff_d() -> "GradedClass":
-    """The curve degree d, as a class of degree 0."""
-    return GradedClass({(0, 0, 0, 0, 1, 0): 1})
-
-
-def coeff_j() -> "GradedClass":
-    """The blow-up level j, as a class of degree 0."""
-    return GradedClass({(0, 0, 0, 0, 0, 1): 1})
+def variable(name: str) -> "GradedClass":
+    """One of k, h, e, f (degree 1) or d, j (degree 0), as a class."""
+    return GradedClass.var(VARIABLES, name)
 
 
 class NonUnitDenominatorError(ValueError):
     """Inversion of a class whose constant term is not 1."""
 
 
-class GradedClass:
+class GradedClass(MultiPoly):
     """Element of the graded ring on k, h, e, f over Z[d, j], truncated
-    above degree ``TOP_DEGREE``."""
+    above degree ``TOP_DEGREE``: a ``MultiPoly`` over ``VARIABLES`` whose
+    products, inverses and quotients drop every term above that degree."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Monomial, Coeff]):
-        self._terms = {m: c for m, c in terms.items() if c and _degree(m) <= TOP_DEGREE}
-
-    # -- construction --------------------------------------------------
-
-    @classmethod
-    def unit(cls) -> "GradedClass":
-        return cls({_ONE: 1})
-
-    @classmethod
-    def generator(cls, name: str) -> "GradedClass":
-        i = GENERATORS.index(name)
-        return cls({tuple(1 if m == i else 0 for m in range(6)): 1})
-
-    @classmethod
-    def zero(cls) -> "GradedClass":
-        return cls({})
-
-    # -- inspection -----------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Monomial, Coeff]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+    def __init__(self, variables: Sequence[str], terms: Mapping[Monomial, int]):
+        # The engine builds every class from int coefficients itself, so
+        # MultiPoly's per-term validation is skipped.
+        if tuple(variables) != VARIABLES:
+            raise ValueError(f"a class lives over {VARIABLES}, not {variables}")
+        kept = {m: c for m, c in terms.items() if c and _degree(m) <= TOP_DEGREE}
+        object.__setattr__(self, "variables", VARIABLES)
+        object.__setattr__(self, "_terms", kept)
+        object.__setattr__(self, "_hash", None)
 
     def graded_part(self, degree: int) -> "GradedClass":
-        return GradedClass({m: c for m, c in self._terms.items() if _degree(m) == degree})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedClass):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    # -- ring operations -------------------------------------------------
-
-    def _coerce(self, other: object) -> "GradedClass | None":
-        if isinstance(other, GradedClass):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GradedClass({_ONE: other})
-        return None
-
-    def __add__(self, other: object) -> "GradedClass":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for m, c in o._terms.items():
-            out[m] = out.get(m, 0) + c
-        return GradedClass(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GradedClass":
-        return GradedClass({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other: object) -> "GradedClass":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: object) -> "GradedClass":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return GradedClass(VARIABLES, {m: c for m, c in self._terms.items() if _degree(m) == degree})
 
     def __mul__(self, other: object) -> "GradedClass":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[Monomial, Coeff] = {}
+        out: dict[Monomial, int] = {}
         right = [(mb, cb, _degree(mb)) for mb, cb in o._terms.items()]
         for ma, ca in self._terms.items():
             room = TOP_DEGREE - _degree(ma)
@@ -210,28 +143,22 @@ class GradedClass:
                 m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2],
                      ma[3] + mb[3], ma[4] + mb[4], ma[5] + mb[5])
                 out[m] = out.get(m, 0) + ca * cb
-        return GradedClass(out)
+        return GradedClass(VARIABLES, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedClass":
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
+        if isinstance(n, int) and n < 0:
             return self.inverse() ** (-n)
-        result = GradedClass.unit()
-        for _ in range(n):
-            result = result * self
-        return result
+        return super().__pow__(n)
 
     def inverse(self) -> "GradedClass":
         """Reciprocal by geometric series; requires constant term 1."""
         constant = self.graded_part(0)
-        if constant != GradedClass.unit():
+        if constant != 1:
             raise NonUnitDenominatorError(f"constant term is {constant}, not 1")
         positive = self - 1
-        result = GradedClass.unit()
-        power = GradedClass.unit()
+        result = power = GradedClass.const(VARIABLES, 1)
         for i in range(1, TOP_DEGREE + 1):
             power = power * positive
             if power.is_zero():
@@ -239,26 +166,11 @@ class GradedClass:
             result = result + (-1) ** i * power
         return result
 
-    def __truediv__(self, other: "GradedClass") -> "GradedClass":
+    def __truediv__(self, other: object) -> "GradedClass":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for mono in sorted(self._terms, key=lambda m: (_degree(m), m)):
-            factors = [g if p == 1 else f"{g}^{p}" for g, p in zip(VARIABLES, mono) if p]
-            coeff = self._terms[mono]
-            if coeff != 1 or not factors:
-                factors.insert(0, str(coeff))
-            bits.append("*".join(factors))
-        return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return f"GradedClass({self!s})"
 
 
 # ----------------------------------------------------------------------
@@ -277,11 +189,11 @@ class _Base(NamedTuple):
 
     def reduce(self, cls: GradedClass) -> GradedClass:
         kept = {m: c for m, c in cls.terms.items() if m[0] <= self.a and m[1] <= self.b}
-        return GradedClass(kept)
+        return GradedClass(VARIABLES, kept)
 
     def integrate(self, cls: GradedClass) -> MultiPoly:
         """The integral of a class of the base's dimension in k, h, over Z[d, j]."""
-        out: dict[tuple[int, int], Coeff] = {}
+        out: dict[tuple[int, int], int] = {}
         for mono, coeff in cls.terms.items():
             if mono[2] or mono[3] or mono[0] + mono[1] != self.a + self.b:
                 raise ValueError(f"cannot integrate monomial {mono} over the base")
@@ -319,35 +231,33 @@ class PushforwardTable:
         goes to (-1)^i s_{i-1}(E), with s(E) = 1/c(E) reduced by the base
         relations."""
         segre = base.reduce(chern.inverse())
-        images = [GradedClass.zero()]
+        images = [GradedClass.zero(VARIABLES)]
         images += [(-1) ** i * segre.graded_part(i - 1) for i in range(1, TOP_DEGREE + 1)]
         return cls(name, GENERATORS.index(fiber), tuple(images))
 
     def apply(self, cls: GradedClass) -> GradedClass:
-        out = GradedClass.zero()
+        out = GradedClass.zero(VARIABLES)
         for mono, coeff in cls.terms.items():
             i = mono[self.fiber]
             if i >= len(self.images):
                 raise ValueError(f"no pushforward image for fiber power {i} in table {self.name}")
             base = mono[: self.fiber] + (0,) + mono[self.fiber + 1 :]
-            out = out + GradedClass({base: coeff}) * self.images[i]
+            out = out + GradedClass(VARIABLES, {base: coeff}) * self.images[i]
         return out
 
 
 def _stage_table(stage: str) -> PushforwardTable:
     """The one fiber-class substitution of a stage, from the c(E) column
     of the module docstring."""
-    d = coeff_d()
-    one = GradedClass.unit()
-    k, h, e = (GradedClass.generator(g) for g in ("k", "h", "e"))
+    d, k, h, e = (variable(v) for v in "dkhe")
     if stage == "second":
-        chern = one + 3 * k - (2 * d - 6) * h + 3 * k**2 - (3 * d - 9) * k * h
+        chern = 1 + 3 * k - (2 * d - 6) * h + 3 * k**2 - (3 * d - 9) * k * h
         return PushforwardTable.from_chern("first-directions", "e", chern, _DUAL_PLANE_X_CURVE)
     if stage == "flex":
-        return PushforwardTable.from_chern("flex-plane", "e", one + 3 * k + 3 * k**2, _PLANE)
+        return PushforwardTable.from_chern("flex-plane", "e", 1 + 3 * k + 3 * k**2, _PLANE)
     if stage == "higher":
         # The level below lies over a plane, so the plane's relations hold there.
-        return PushforwardTable.from_chern("higher-levels", "f", one + e, _PLANE)
+        return PushforwardTable.from_chern("higher-levels", "f", 1 + e, _PLANE)
     raise ValueError(f"no single pushforward table for stage {stage!r}")
 
 
@@ -379,24 +289,21 @@ class CenterSpec:
 
 def _center_spec(name: str) -> CenterSpec:
     """Build the data of one center, as tabulated in the module docstring."""
-    d = coeff_d()
-    j = coeff_j()
-    one = GradedClass.unit()
-    k, h, e, f = (GradedClass.generator(g) for g in GENERATORS)
+    k, h, e, f, d, j = (variable(v) for v in VARIABLES)
     if name == "first":
-        chern = (one + k + h) ** 9 * (one + d * h) / ((one + k) ** 3 * (one + h) ** 3)
+        chern = (1 + k + h) ** 9 * (1 + d * h) / ((1 + k) ** 3 * (1 + h) ** 3)
         return CenterSpec(name, 3, d * k + d * h, chern, (), _evaluate_on_base)
     if name == "second":
-        chern = (one + e) * (one + k + d * h - e) ** 3
+        chern = (1 + e) * (1 + k + d * h - e) ** 3
         tables = (_stage_table("second"),)
         return CenterSpec(name, 4, d * k + d * h - e, chern, tables, _evaluate_on_base)
     if name == "flex":
-        chern = (one + e) * (one + k - 2 * e) ** 3
+        chern = (1 + e) * (1 + k - 2 * e) ** 3
         tables = (_stage_table("flex"),)
         return CenterSpec(name, 3, d * k - 2 * e, chern, tables, _evaluate_on_plane)
     if name == "higher":
         point = d * k - 2 * e - (j - 2) * f
-        chern = (one + f) * (one + k - 2 * e - (j - 2) * f) ** 3
+        chern = (1 + f) * (1 + k - 2 * e - (j - 2) * f) ** 3
         tables = (_stage_table("higher"), _stage_table("flex"))
         return CenterSpec(name, 4, point, chern, tables, _evaluate_on_plane)
     raise KeyError(name)
@@ -409,7 +316,7 @@ def correction_integral(stage_name: str) -> MultiPoly:
     polynomials in d alone.
     """
     stage = _center_spec(stage_name)
-    integrand = (GradedClass.unit() + stage.point_class) ** 8 / stage.normal_chern
+    integrand = (1 + stage.point_class) ** 8 / stage.normal_chern
     return stage.integrate(integrand.graded_part(stage.dim))
 
 
@@ -420,7 +327,7 @@ def correction_integral(stage_name: str) -> MultiPoly:
 
 def _d_only(p: MultiPoly) -> MultiPoly:
     """Reinterpret a Z[d, j] polynomial not involving j as Z[d]."""
-    out: dict[tuple[int], Fraction] = {}
+    out: dict[tuple[int], int] = {}
     for (ed, ej), c in p.terms.items():
         if ej:
             raise ValueError(f"polynomial unexpectedly involves j: {p}")
@@ -457,7 +364,7 @@ def verify_identities() -> list[tuple[str, bool, str, str]]:
     record("second-center-integral", i_second, second_blowup_term(d))
     record("flex-center-integral", i_flex, flex_blowup_term(d))
     record("higher-center-integral", i_higher, higher_blowup_term(j, d))
-    at_level_2: dict[tuple[int, int], int | Fraction] = {}
+    at_level_2: dict[tuple[int, int], int] = {}
     for (a, k), c in i_higher.terms.items():
         at_level_2[a, 0] = at_level_2.get((a, 0), 0) + c * 2**k
     record("higher-at-level-2-matches-flex", MultiPoly(COEFF_VARS, at_level_2), i_flex)

@@ -9,7 +9,9 @@ integral and as a ``fractions.Fraction`` only otherwise, so polynomials
 with integer coefficients are computed on Python integers throughout.
 Every operation is exact; there is no floating-point mode.  Instances are
 immutable: all arithmetic returns new objects, and values can be shared
-freely across threads.
+freely across threads.  Sums, negations, powers and coerced constants
+keep the class of ``self``, so a subclass that only changes construction
+and products inherits the rest of the ring operations.
 
 Terms are kept in no particular order internally; printing and iteration
 use graded-lexicographic order (total degree first, then lexicographic on
@@ -201,7 +203,7 @@ class MultiPoly:
             self._check_same_vars(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(self.variables, other)
+            return type(self).const(self.variables, other)
         return None
 
     def __add__(self, other: object) -> "MultiPoly":
@@ -211,12 +213,12 @@ class MultiPoly:
         out = dict(self._terms)
         for e, c in o._terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(self.variables, out)
+        return type(self)(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {e: -c for e, c in self._terms.items()})
+        return type(self)(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "MultiPoly":
         o = self._coerce(other)
@@ -248,7 +250,7 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {n!r}")
-        result = MultiPoly.const(self.variables, 1)
+        result = type(self).const(self.variables, 1)
         base = self
         while n:
             if n & 1:

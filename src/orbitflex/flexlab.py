@@ -25,7 +25,9 @@ projective zero, by eliminating one variable from two pairs of partials
 and taking a gcd of the resulting binary forms; generic coordinates make
 the elimination free of extraneous factors, so a trivial gcd is a proof
 of smoothness.  A nontrivial gcd triggers an attempt to exhibit a
-rational singular point, then a retry in new coordinates.
+rational singular point, then a retry in new coordinates.  Two partials
+that share a component prove the curve singular without naming a point,
+so the search for a witness also goes on in new coordinates.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
     rng = random.Random(0x5EED)
     bound = INITIAL_BOUND
     identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    obstructed = 0
+    obstructed = shared = 0
     for attempt in range(RETRY_BUDGET):
         m = identity if attempt == 0 else random_unimodular(rng, bound)
         if attempt > 0:
@@ -291,9 +293,10 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
         r1 = resultant(a, b, "z")
         r2 = resultant(a, c, "z")
         if r1.is_zero() or r2.is_zero():
-            raise SingularCurveError(
-                "two partial derivatives share a positive-dimensional component"
-            )
+            # Two partials share a component, which meets the third partial
+            # in singular points; new coordinates may name one.
+            shared += 1
+            continue
         deg_form = (d - 1) ** 2
         common = _binary_common_roots(r1, r2, deg_form, deg_form)
         if common is None:
@@ -305,6 +308,8 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
                 "all partial derivatives vanish at a rational point",
                 _normalize_point(_apply_matrix(m, witness)),
             )
+    if shared:
+        raise SingularCurveError("two partial derivatives share a positive-dimensional component")
     detail = (
         "; the gradient system kept common roots under every projection but"
         " none with rational coordinates, so the curve is most likely"

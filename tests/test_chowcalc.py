@@ -13,8 +13,8 @@ from orbitflex.chowcalc import (
     _evaluate_on_plane,
     _simple_flex_assembly,
     _stage_table,
-    coeff_d,
     correction_integral,
+    variable,
     verify_identities,
 )
 from orbitflex.exactpoly import MultiPoly
@@ -27,13 +27,7 @@ from orbitflex.orbitformulas import (
 
 
 def gens():
-    return (
-        GradedClass.unit(),
-        GradedClass.generator("k"),
-        GradedClass.generator("h"),
-        GradedClass.generator("e"),
-        GradedClass.generator("f"),
-    )
+    return (GradedClass.const(VARIABLES, 1), *(variable(g) for g in "khef"))
 
 
 # ----------------------------------------------------------------------
@@ -48,7 +42,7 @@ def test_geometric_series_inverse():
 
 def test_unit_times_inverse_is_one():
     one, k, h, e, f = gens()
-    d = coeff_d()
+    d = variable("d")
     u = one + d * h
     assert u * u.inverse() == one
 
@@ -103,8 +97,9 @@ def test_class_arithmetic_matches_multipoly():
     for _ in range(40):
         a, b = random_class_terms(rng), random_class_terms(rng)
         pa, pb = MultiPoly(VARIABLES, a), MultiPoly(VARIABLES, b)
-        assert (GradedClass(a) + GradedClass(b)).terms == (pa + pb).terms
-        assert (GradedClass(a) * GradedClass(b)).terms == truncated(pa * pb).terms
+        ga, gb = GradedClass(VARIABLES, a), GradedClass(VARIABLES, b)
+        assert (ga + gb).terms == (pa + pb).terms
+        assert (ga * gb).terms == truncated(pa * pb).terms
         unit = {m: c for m, c in a.items() if sum(m[:4])}
         unit[(0,) * 6] = 1
         rest = one - MultiPoly(VARIABLES, unit)
@@ -112,7 +107,33 @@ def test_class_arithmetic_matches_multipoly():
         for _ in range(TOP_DEGREE):
             power = truncated(power * rest)
             series = series + power
-        assert GradedClass(unit).inverse().terms == series.terms
+        assert GradedClass(VARIABLES, unit).inverse().terms == series.terms
+
+
+def test_inherited_operations_return_truncated_classes():
+    one, k, h, e, f = gens()
+    x, y = k**2 + 3 * h, e - k**4
+    top = MultiPoly(VARIABLES, {(5, 0, 0, 0, 0, 0): 1, (0, 1, 0, 0, 1, 0): 2})
+    results = [
+        x + y, 2 + x, x + top, x - y, 1 - x, -x, 3 * x, x * 3, x**3,
+        GradedClass.const(VARIABLES, 5),
+    ]
+    for r in results:
+        assert type(r) is GradedClass
+        assert all(sum(m[:4]) <= TOP_DEGREE for m in r.terms)
+    assert (x + top).terms == (x + 2 * variable("d") * h).terms
+    assert x**3 == truncated(MultiPoly(VARIABLES, x.terms) ** 3)
+    assert GradedClass.const(VARIABLES, 5) == 5
+    assert k**5 == 0 and (1 + k) ** 5 == 1 + 5 * k + 10 * k**2 + 10 * k**3 + 5 * k**4
+
+
+def test_inherited_operations_keep_plain_multipoly():
+    # The curve pipeline's polynomials are not truncated.
+    x, y, z = (MultiPoly.var(("x", "y", "z"), v) for v in "xyz")
+    p = x**2 + 3 * y
+    for r in (p + y, 2 + p, p - y, 1 - p, -p, 3 * p, p * 3, p**5, MultiPoly.const(("x",), 5)):
+        assert type(r) is MultiPoly
+    assert (p**5).total_degree() == 10
 
 
 # ----------------------------------------------------------------------
@@ -124,8 +145,8 @@ def hand_written_images():
     """The pushforward images as tabulated by hand, before the tables were
     derived from Segre classes: the oracle for the derived tables."""
     one, k, h, e, f = gens()
-    d = coeff_d()
-    zero = GradedClass.zero()
+    d = variable("d")
+    zero = GradedClass.zero(VARIABLES)
     return {
         "second": (
             zero,
@@ -149,7 +170,7 @@ def test_derived_images_match_hand_written_tables():
 
 def test_pushforward_e_squared_second_stage():
     one, k, h, e, f = gens()
-    d = coeff_d()
+    d = variable("d")
     assert _stage_table("second").apply(e**2) == -3 * k + (2 * d - 6) * h
 
 
@@ -165,7 +186,7 @@ def test_pushforward_f_squared_higher_stage():
 
 def test_pushforward_unit_is_zero_on_every_stage():
     for stage in ("second", "flex", "higher"):
-        one = GradedClass.unit()
+        one = GradedClass.const(VARIABLES, 1)
         assert _stage_table(stage).apply(one).is_zero()
 
 
@@ -261,7 +282,7 @@ def test_expand_truncated_reproduces_first_integrand():
     # degree-3 part of (1+dk+dh)^8 (1+k)^3 (1+h)^3 / ((1+k+h)^9 (1+dh)),
     # integrated over the base, equals the first correction term.
     one, k, h, e, f = gens()
-    d = coeff_d()
+    d = variable("d")
     expr = (
         (one + d * k + d * h) ** 8
         * (one + k) ** 3
@@ -335,7 +356,7 @@ def test_identity_checks_have_teeth():
         name="flex-plane-corrupted",
         fiber=2,
         images=(
-            GradedClass.zero(),
+            GradedClass.zero(VARIABLES),
             -one,
             -3 * k,
             -5 * (k**2),  # true image is -6*k^2
@@ -351,7 +372,7 @@ def test_identity_checks_have_teeth():
 def test_corrupted_point_class_changes_integral():
     one, k, h, e, f = gens()
     stage = _center_spec("first")
-    d = coeff_d()
+    d = variable("d")
     wrong_point = d * k + (d - 1) * h
     integrand = (one + wrong_point) ** 8 / stage.normal_chern
     corrupted = _evaluate_on_base(integrand.graded_part(3))

@@ -49,6 +49,13 @@ def test_klein_degree_at_seeds_that_once_merged_flexes(capsys, seed):
     assert "flex profile: order 1 x 24" in out and "orbit degree: 85" in out
 
 
+def test_curve_starting_with_minus_after_double_dash(capsys):
+    # Without "--", argparse reads "-x^3+y^3+z^3" as an unknown option.
+    code, out, err = run(capsys, "--json", "predegree", "--", "-x^3+y^3+z^3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["profile"] == {"1": "9"}
+
+
 def test_degree_requires_divisibility(capsys):
     code, _, err = run(capsys, "degree", "x^4+y^4+z^4", "--aut", "97")
     assert code == 1

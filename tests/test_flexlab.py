@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitflex.exactpoly import MultiPoly, det3, linear_substitute
+from orbitflex.exactpoly import MultiPoly, det3, gradient, linear_substitute
 from orbitflex import flexlab
 from orbitflex.flexlab import (
     CENTRE_ON_CURVE,
@@ -26,7 +26,7 @@ from orbitflex.flexlab import (
     random_unimodular,
 )
 from orbitflex.polyparse import parse_form
-from helpers import random_smooth_curve, rational_roots_by_divisors
+from helpers import random_homogeneous, random_smooth_curve, rational_roots_by_divisors
 
 def curve(src: str) -> PlaneCurve:
     form, _ = parse_form(src)
@@ -84,6 +84,57 @@ def test_off_axis_rational_singularity():
         x0, y0, z0 = err.value.witness
         grads = [form.diff(v) for v in ("x", "y", "z")]
         assert all(g.evaluate((x0, y0, z0)) == 0 for g in grads)
+
+
+def assert_singular_witness(form, witness):
+    assert witness is not None
+    assert all(g.evaluate(witness) == 0 for g in (form, *gradient(form)))
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        # the first attempt skips this curve, whose F_x vanishes at
+        # (0:0:1); adding x*z^2 + y*z^2 to the cubic makes it reach the
+        # resultant
+        "z*(x^3 + y^3 + z^3)",
+        "z*(x^3 + y^3 + x*z^2 + y*z^2 + z^3)",
+        # the singular ops of benchmark round 592 of random-lowdeg at
+        # seeds 2 and 3: each curve contains the line z = 0
+        "7*x^3*z + 14*x^2*y*z + 16*x^2*z^2 + 9*x*y^2*z + 19*x*y*z^2 + 15*x*z^3"
+        " + 2*y^3*z + 8*y^2*z^2 + 12*y*z^3 + 7*z^4",
+        "2*x^2*z + 7*x*y*z - 2*x*z^2 + 5*y^2*z - 2*y*z^2 - 2*z^3",
+    ],
+)
+def test_curve_containing_line_z_gets_a_witness(src):
+    # F_x and F_y share the factor z in the given coordinates, so their
+    # resultant is zero and names no point; new coordinates find one.
+    form, _ = parse_form(src)
+    with pytest.raises(SingularCurveError) as err:
+        check_smooth(form)
+    assert_singular_witness(form, err.value.witness)
+
+
+def test_line_times_curve_through_a_point_of_the_line_gets_a_witness():
+    # z*G with G through (a:b:0) is singular there.
+    rng = random.Random(83)
+    x, y, z = (MultiPoly.var(("x", "y", "z"), v) for v in "xyz")
+    for d in (3, 4, 5, 6):
+        for _ in range(3):
+            a, b = rng.randint(-4, 4), rng.randint(1, 4)
+            g = (b * x - a * y) * random_homogeneous(rng, d - 2) + z * random_homogeneous(rng, d - 2)
+            form = z * g
+            with pytest.raises(SingularCurveError) as err:
+                check_smooth(form)
+            assert_singular_witness(form, err.value.witness)
+
+
+def test_repeated_component_has_no_witness():
+    # The partials share the doubled line under every coordinate change.
+    form, _ = parse_form("(x + 2*y + 3*z)^2*(x^2 + y^2 + z^2)")
+    with pytest.raises(SingularCurveError, match="share a positive-dimensional component") as err:
+        check_smooth(form)
+    assert err.value.witness is None
 
 
 def test_low_degree_rejected():
