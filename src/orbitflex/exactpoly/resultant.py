@@ -9,7 +9,8 @@ have integer coefficients and a nonzero constant top coefficient in
 
 * with D, E the total degrees of f and g, the result has degree at most
   k - 1 = n*D + m*E - m*n in x (3d(d-2) for a curve and its Hessian);
-* at each of the points x = 0, 1, ..., k-1 the resultant of the two
+* at each of the balanced points x = -floor(k/2), ..., k-1-floor(k/2),
+  whose values are smaller than at 0, ..., k-1, the resultant of the two
   integer polynomials in ``var`` comes from the subresultant polynomial
   remainder sequence over Z (Collins 1967; Brown & Traub 1971; Brown
   1978); the same sequence gives the first principal subresultant
@@ -64,10 +65,11 @@ def resultant(
     fi, gi = _dense_in(f, var), _dense_in(g, var)
     m, n = len(fi) - 1, len(gi) - 1
     k = n * f.total_degree() + m * g.total_degree() - m * n + 1
+    lo = -(k // 2)
     values, sres1 = zip(
         *(
             _prs_subresultants([_horner(c, t) for c in fi], [_horner(c, t) for c in gi])
-            for t in range(k)
+            for t in range(lo, lo + k)
         )
     )
     rest = tuple(v for v in f.variables if v != var)
@@ -96,7 +98,7 @@ def _dense_in(p: MultiPoly, var: str) -> list[IntPoly]:
 
 
 def _from_values(values: Sequence[int], variables: tuple[str, ...]) -> MultiPoly:
-    """The polynomial through (t, values[t]), t = 0 .. k-1."""
+    """The polynomial through the balanced points of ``_interpolate``."""
     return MultiPoly(variables, {(i,): c for i, c in enumerate(_interpolate(values)) if c})
 
 
@@ -144,13 +146,14 @@ def _prs_subresultants(a: IntPoly, b: IntPoly) -> tuple[int, int]:
 
 def _interpolate(values: Sequence[int]) -> IntPoly:
     """Integer coefficients, lowest first, of the polynomial through
-    (t, values[t]) for t = 0 .. k-1.
+    (lo + i, values[i]) for i = 0 .. k-1, with lo = -floor(k/2).
 
-    Newton's forward-difference form sum_j D^j / j! * t(t-1)...(t-j+1) is
+    Newton's forward-difference form sum_j D^j / j! * (t-lo)...(t-lo-j+1) is
     accumulated by Horner's rule with every coefficient D^j multiplied by
     (k-1)!/j!, so the sum stays integral; (k-1)! divides the result exactly.
     """
     k = len(values)
+    lo = -(k // 2)
     diffs = list(values)
     for level in range(1, k):
         for i in range(k - 1, level - 1, -1):
@@ -160,7 +163,7 @@ def _interpolate(values: Sequence[int]) -> IntPoly:
     for j in range(k - 1, -1, -1):
         shifted = [0] + coeffs
         for i, c in enumerate(coeffs):
-            shifted[i] -= j * c
+            shifted[i] -= (j + lo) * c
         shifted[0] += diffs[j] * weight
         coeffs = shifted
         weight *= j

@@ -8,26 +8,26 @@ curve is always 3d(d-2).
 ``flex_profile`` counts flexes of each order over the algebraic closure
 without ever leaving exact rational arithmetic: flex orders equal the
 local intersection multiplicities of the curve with its Hessian, and
-after a generic integer coordinate change those multiplicities are read
-off the squarefree decomposition of the curve-Hessian resultant.  Each
-coordinate change is certified before its profile is used: the
-resultant must have the exact expected degree 3d(d-2), and the
-projection must separate the intersection points, which a squarefree
-resultant proves at once and the first subresultant proves otherwise
-(Gonzalez-Vega & El Kahoui 1996).  So a certified profile is proved; a
-second coordinate change is drawn as a cross-check and must agree.
-After the curve is scaled to integer coefficients every step runs on
-Python integers, and the whole computation is deterministic given the
-seed.
+after a random integer shear with small entries those multiplicities
+are read off the squarefree decomposition of the curve-Hessian resultant.
+Each coordinate change is certified before its profile is used: the
+resultant must have the exact expected degree 3d(d-2), which a resultant
+on the line z = 0 decides first, and the projection must separate the
+intersection points, which a squarefree resultant proves at once and the
+first subresultant proves otherwise (Gonzalez-Vega & El Kahoui 1996).
+So a certified profile is proved; a second, different shear is drawn as
+a cross-check and must agree.  After the curve is scaled to integer
+coefficients every step runs on Python integers, and the whole
+computation is deterministic given the seed.
 
 ``check_smooth`` certifies that the three partial derivatives share no
 projective zero, by eliminating one variable from two pairs of partials
-and taking a gcd of the resulting binary forms; generic coordinates make
-the elimination free of extraneous factors, so a trivial gcd is a proof
-of smoothness.  A nontrivial gcd triggers an attempt to exhibit a
-rational singular point, then a retry in new coordinates.  Two partials
-that share a component prove the curve singular without naming a point,
-so the search for a witness also goes on in new coordinates.
+and taking a gcd of the resulting binary forms; ``random_unimodular``
+coordinates make the elimination free of extraneous factors, so a
+trivial gcd is a proof of smoothness.  A nontrivial gcd triggers an
+attempt to exhibit a rational singular point, then a retry in new
+coordinates.  Two partials that share a component prove the curve
+singular without naming a point, so the witness search goes on too.
 """
 
 from __future__ import annotations
@@ -51,11 +51,13 @@ from .exactpoly import (
     squarefree_decompose,
 )
 from .exactpoly.multipoly import common_denominator
+from .exactpoly.resultant import _prs_subresultants
 from .exactpoly.unipoly import _derivative, _divexact, _primitive
 from .exactpoly.unipoly import gcd as poly_gcd
 
 RETRY_BUDGET = 8
 INITIAL_BOUND = 3
+INITIAL_SHEAR_BOUND = 2
 
 Point = tuple[Fraction, Fraction, Fraction]
 
@@ -195,7 +197,7 @@ def _int_poly(p: MultiPoly) -> IntPoly:
 
 
 def random_unimodular(rng: random.Random, bound: int) -> list[list[int]]:
-    """Random integer matrix of determinant +-1 with well-spread entries.
+    """Random integer matrix of determinant +-1 for ``check_smooth``.
 
     Built as (signed permutation) * L * U with unit-triangular L, U whose
     off-diagonal entries are nonzero draws from [-bound, bound]; sparse
@@ -222,6 +224,21 @@ def random_unimodular(rng: random.Random, bound: int) -> list[list[int]]:
         if rng.random() < 0.5:
             m[i] = [-c for c in m[i]]
     return m
+
+
+def random_shear(rng: random.Random, bound: int, tried: set) -> list[list[int]]:
+    """Random shear [[1, a, 0], [0, 1, 0], [c, b, 1]], determinant 1, centre
+    (a : 1 : b): a, b, c are nonzero in [-bound, bound], and (a, b, c) is new
+    to ``tried`` and added to it; the box doubles while all of it is tried.
+    Shears fix (0:0:1), which ``check_smooth`` needs moved."""
+    while sum(max(map(abs, t)) <= bound for t in tried) == (2 * bound) ** 3:
+        bound *= 2
+    box = [v for v in range(-bound, bound + 1) if v]
+    while True:
+        a, b, c = (rng.choice(box) for _ in range(3))
+        if (a, b, c) not in tried:
+            tried.add((a, b, c))
+            return [[1, a, 0], [0, 1, 0], [c, b, 1]]
 
 
 def _apply_matrix(m: Sequence[Sequence[int]], v: Sequence[Fraction]) -> Point:
@@ -471,20 +488,21 @@ NOT_SEPARATING = "not separating"
 def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
     """Flex-order multiset of a smooth curve, deterministic given seed.
 
-    Draws coordinate changes until one is certified by ``_profile_once``;
-    its profile is proved.  A second coordinate change is drawn as a cross
-    check: it passes when its profile agrees or is certified itself, and a
-    certified disagreement is a defect and raises.  The bound on the
-    matrix entries doubles after each rejected coordinate change only.
+    Draws shears until one is certified by ``_profile_once``; its profile
+    is proved.  A second, different shear is drawn as a cross check: it
+    passes when its profile agrees or is certified itself, and a certified
+    disagreement is a defect and raises.  The bound on the shear entries
+    doubles after each rejected coordinate change only.
     """
     d = curve.degree
     form = _integer_form(curve.form)
     rng = random.Random(seed)
-    bound = INITIAL_BOUND
+    bound = INITIAL_SHEAR_BOUND
+    tried: set[tuple[int, int, int]] = set()
     proved: dict[int, int] | None = None
     rejected: Counter[str] = Counter()
     for _ in range(RETRY_BUDGET):
-        outcome = _profile_once(form, d, random_unimodular(rng, bound), proved)
+        outcome = _profile_once(form, d, random_shear(rng, bound, tried), proved)
         if isinstance(outcome, str):
             rejected[outcome] += 1
             bound *= 2
@@ -529,6 +547,8 @@ def _profile_once(
     hess = hessian_determinant(g)
     if hess.is_zero() or hess.evaluate((0, 1, 0)) == 0:
         return HESSIAN_ZERO_AT_CENTRE
+    if _degree_short(g, hess):
+        return DEGREE_SHORT
     sres1: list[Callable[[], MultiPoly]] = []
     res = resultant(
         g.dehomogenize("z"), hess.dehomogenize("z"), "y", first_subresultant=sres1
@@ -543,3 +563,11 @@ def _profile_once(
         if any(len(poly_gcd(factor, s1)) > 1 for factor in repeated):
             return NOT_SEPARATING
     return counts
+
+
+def _degree_short(g: MultiPoly, hess: MultiPoly) -> bool:
+    """Whether Res_y(g(x, y, 1), hess(x, y, 1)) has degree below 3d(d-2): its
+    top coefficient is Res_y(g(1, y, 0), hess(1, y, 0)) when the leading
+    coefficients in y are constants (Fulton, Algebraic Curves, 5.3)."""
+    on_line = (_int_poly(p.dehomogenize("x").coefficients_in("z")[0]) for p in (g, hess))
+    return _prs_subresultants(*on_line)[0] == 0

@@ -21,8 +21,10 @@ Grammar (EBNF)::
 
 Exponents are nonnegative integer literals; "/" only appears inside
 numeric literals.  Whitespace is insignificant.  Every rejection carries
-the offending position.  A parsed form must be homogeneous and nonzero;
-``parse_form`` returns it together with its degree.
+the offending position; that includes a power of a constant other than
+0, +-1 whose exponent times bit length exceeds MAX_CONSTANT_POWER_BITS.
+A parsed form must be homogeneous and nonzero; ``parse_form`` returns it
+together with its degree.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .exactpoly import MultiPoly, NonHomogeneousError
 from .exactpoly.unipoly import ZeroPolynomialError
 
 CURVE_VARS = ("x", "y", "z")
+MAX_CONSTANT_POWER_BITS = 2**16
 
 
 class ParseError(ValueError):
@@ -141,7 +144,12 @@ class _Parser:
         if self.peek().kind == "^":
             self.advance()
             tok = self.expect("num")
-            return base ** int(tok.value)
+            exponent = int(tok.value)
+            c = base.coefficient((0, 0, 0)) if base.total_degree() == 0 else 0
+            bits = max(abs(c.numerator), c.denominator).bit_length()
+            if c not in (0, 1, -1) and exponent * bits > MAX_CONSTANT_POWER_BITS:
+                raise ParseError(f"constant power exceeds {MAX_CONSTANT_POWER_BITS} bits", tok.pos)
+            return base**exponent
         return base
 
     def atom(self) -> MultiPoly:

@@ -6,10 +6,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import gcd
+from math import factorial, gcd
 
 from orbitflex.exactpoly import MultiPoly, det3, factor_integer, is_prime
+from orbitflex.exactpoly.resultant import (
+    _dense_in,
+    _divexact_scalar,
+    _horner,
+    _prs_subresultants,
+)
 from orbitflex.exactpoly.unipoly import (
+    IntPoly,
     _deg,
     _divides,
     _primitive,
@@ -175,6 +182,51 @@ def _interpolated_det(rows: list[list[MultiPoly]], rest: tuple[str, ...]) -> Mul
         values.append(Fraction(det, scale))
     coeffs = newton_interpolate(points, values)
     return MultiPoly(rest, {(i,): c for i, c in enumerate(coeffs)})
+
+
+def resultant_at_naturals(f: MultiPoly, g: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
+    """(Res, sres_1) in ``var`` of bivariate integer f, g from the same
+    remainder sequences as ``resultant``, evaluated at x = 0 .. k-1 instead
+    of the balanced points and reassembled by ``interpolate_naturals``."""
+    fi, gi = _dense_in(f, var), _dense_in(g, var)
+    m, n = len(fi) - 1, len(gi) - 1
+    k = n * f.total_degree() + m * g.total_degree() - m * n + 1
+    values, sres1 = zip(
+        *(
+            _prs_subresultants([_horner(c, t) for c in fi], [_horner(c, t) for c in gi])
+            for t in range(k)
+        )
+    )
+    rest = tuple(v for v in f.variables if v != var)
+    return tuple(
+        MultiPoly(rest, {(i,): c for i, c in enumerate(interpolate_naturals(vs)) if c})
+        for vs in (values, sres1)
+    )
+
+
+def interpolate_naturals(values: list[int]) -> IntPoly:
+    """Integer coefficients, lowest first, of the polynomial through
+    (t, values[t]) for t = 0 .. k-1.
+
+    Newton's forward-difference form sum_j D^j / j! * t(t-1)...(t-j+1) is
+    accumulated by Horner's rule with every coefficient D^j multiplied by
+    (k-1)!/j!, so the sum stays integral; (k-1)! divides the result exactly.
+    """
+    k = len(values)
+    diffs = list(values)
+    for level in range(1, k):
+        for i in range(k - 1, level - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    coeffs: IntPoly = []
+    weight = 1  # (k-1)! / j!
+    for j in range(k - 1, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= j * c
+        shifted[0] += diffs[j] * weight
+        coeffs = shifted
+        weight *= j
+    return _divexact_scalar(_trim(coeffs), factorial(k - 1))
 
 
 def gcd_prs(f: list[int], g: list[int]) -> list[int]:

@@ -85,6 +85,14 @@ def test_syntax_error_exit_code(capsys):
         assert err == "input error: expression nested too deeply (at position 0)\n"
 
 
+def test_huge_constant_power_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "flexes", "5z* 4^3591443783")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "constant power exceeds" in err
+
+
 def test_non_homogeneous_exit_code(capsys):
     code, _, err = run(capsys, "flexes", "x^2 + y^3")
     assert code == 2

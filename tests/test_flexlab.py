@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitflex.exactpoly import MultiPoly, det3, gradient, linear_substitute
+from orbitflex.exactpoly import (
+    MultiPoly,
+    det3,
+    gradient,
+    hessian_determinant,
+    linear_substitute,
+    resultant,
+)
 from orbitflex import flexlab
 from orbitflex.flexlab import (
     CENTRE_ON_CURVE,
@@ -16,6 +23,7 @@ from orbitflex.flexlab import (
     GenericityFailureError,
     PlaneCurve,
     INITIAL_BOUND,
+    INITIAL_SHEAR_BOUND,
     PointNotOnCurveError,
     SingularCurveError,
     _profile_once,
@@ -23,6 +31,7 @@ from orbitflex.flexlab import (
     f_sums,
     flex_order_at,
     flex_profile,
+    random_shear,
     random_unimodular,
 )
 from orbitflex.polyparse import parse_form
@@ -324,16 +333,15 @@ def test_tangent_projection_needs_a_proved_profile():
 
 
 def _draws(monkeypatch, matrices):
-    """Make flexlab draw ``matrices`` in turn; returns the bounds it asked for.
-
-    ``check_smooth`` draws too, so certify the curve before this."""
+    """Make flex_profile draw ``matrices`` in turn; returns the bounds it
+    asked for."""
     bounds = []
 
-    def draw(rng, bound):
+    def draw(rng, bound, tried):
         bounds.append(bound)
         return matrices[len(bounds) - 1]
 
-    monkeypatch.setattr(flexlab, "random_unimodular", draw)
+    monkeypatch.setattr(flexlab, "random_shear", draw)
     return bounds
 
 
@@ -355,7 +363,7 @@ def test_genericity_failure_counts_rejections_by_reason(monkeypatch):
         " (rejected: centre on curve x 2, not separating x 4,"
         " Hessian zero at centre x 1, resultant degree short x 1)"
     )
-    assert bounds == [INITIAL_BOUND * 2**i for i in range(8)]
+    assert bounds == [INITIAL_SHEAR_BOUND * 2**i for i in range(8)]
 
 
 def test_bound_grows_only_after_a_rejection(monkeypatch):
@@ -363,7 +371,96 @@ def test_bound_grows_only_after_a_rejection(monkeypatch):
     cubic = curve("x^3 + y^3 + z^3")
     bounds = _draws(monkeypatch, [good, bad, good])
     assert flex_profile(cubic).counts == {1: 9}
-    assert bounds == [INITIAL_BOUND, INITIAL_BOUND, 2 * INITIAL_BOUND]
+    assert bounds == [INITIAL_SHEAR_BOUND, INITIAL_SHEAR_BOUND, 2 * INITIAL_SHEAR_BOUND]
+
+
+SHEAR_BOX = [_shear(a, b, c) for a in (-2, -1, 1, 2) for b in (-2, -1, 1, 2) for c in (-2, -1, 1, 2)]
+
+
+def test_degree_short_test_matches_resultant_degree():
+    # Over the whole draw box at bound 2, the one-point test rejects exactly
+    # the shears whose full resultant falls short of degree 3d(d-2).
+    sources = [
+        "x^3*y + y^3*z + z^3*x",
+        "x^5 + y^5 + z^5",
+        "x^6 + y^6 + z^6",
+        "x^4*y + y^4*z + z^4*x",
+        "x^4 + x*y^3 + y*z^3",
+    ]
+    curves = [curve(src) for src in sources]
+    rng = random.Random(2026)
+    curves += [random_smooth_curve(rng, d) for d in (3, 4, 4, 5, 5)]
+    short = 0
+    for c in curves:
+        d, form = c.degree, flexlab._integer_form(c.form)
+        for m in SHEAR_BOX:
+            g = linear_substitute(form, m)
+            hess = hessian_determinant(g)
+            if g.evaluate((0, 1, 0)) == 0 or hess.evaluate((0, 1, 0)) == 0:
+                continue
+            res = resultant(g.dehomogenize("z"), hess.dehomogenize("z"), "y")
+            rejects = flexlab._degree_short(g, hess)
+            assert rejects == (res.degree_in("x") != 3 * d * (d - 2)), (c.form, m)
+            short += rejects
+    assert short >= 60
+
+
+def test_one_call_never_projects_twice_the_same_way(monkeypatch):
+    # At bound 2 the box holds 64 shears, so over 200 seeds some second
+    # draw would repeat the first if draws were not checked against it.
+    seen = []
+    once = flexlab._profile_once
+
+    def record(form, d, m, proved=None):
+        seen[-1].append(m)
+        return once(form, d, m, proved)
+
+    monkeypatch.setattr(flexlab, "_profile_once", record)
+    cubic = curve("x^3 + y^3 + z^3")
+    for seed in range(200):
+        seen.append([])
+        flex_profile(cubic, seed=seed)
+        assert len(seen[-1]) >= 2
+        assert len({tuple(map(tuple, m)) for m in seen[-1]}) == len(seen[-1]), seed
+
+
+def _entries(m):
+    """(a, b, c) of the shear [[1, a, 0], [0, 1, 0], [c, b, 1]]."""
+    assert m == _shear(m[0][1], m[2][1], m[2][0])
+    return m[0][1], m[2][1], m[2][0]
+
+
+def test_shear_redraws_a_tried_shear():
+    first = random_shear(random.Random(5), 2, set())
+    tried = {_entries(first)}
+    assert random_shear(random.Random(5), 2, tried) != first
+    assert len(tried) == 2
+
+
+class _CountingRandom(random.Random):
+    """Fails after ``limit`` draws instead of looping for ever."""
+
+    def __init__(self, seed, limit):
+        super().__init__(seed)
+        self.left = limit
+
+    def getrandbits(self, k):
+        self.left -= 1
+        assert self.left >= 0, "the redraw loop did not end"
+        return super().getrandbits(k)
+
+
+def test_shear_redraw_ends_when_the_box_is_exhausted():
+    tried = {_entries(m) for m in SHEAR_BOX}
+    drawn = _entries(random_shear(_CountingRandom(0, 10_000), 2, tried))
+    assert 2 < max(map(abs, drawn)) <= 4 and len(tried) == 65
+    # The bound-1 box, one shear per sign pattern, drawn out one by one.
+    tried = set()
+    rng = _CountingRandom(1, 10_000)
+    for _ in range(8):
+        random_shear(rng, 1, tried)
+    assert tried == {(a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)}
+    assert max(map(abs, _entries(random_shear(rng, 1, tried)))) == 2
 
 
 def test_certified_disagreement_raises(monkeypatch):

@@ -111,6 +111,16 @@ def test_exponent_must_be_literal():
         parse_expression("x^-2")
 
 
+def test_constant_power_size_guard():
+    # exponent x bit length: 2 has two bits, 1/3 has two, -1 and 0 are exempt
+    assert parse_expression("2^32768") == MultiPoly.const(V, 2**32768)
+    for text, pos in (("2^32769", 2), ("x*(1/3)^32769", 8), ("(2^300)^300", 8)):
+        with pytest.raises(ParseError, match="constant power exceeds") as err:
+            parse_expression(text)
+        assert err.value.position == pos
+    assert parse_expression("(-1)^999999 + 0^999999") == MultiPoly.const(V, -1)
+
+
 def test_roundtrip_with_canonical_printer():
     rng = random.Random(43)
     for _ in range(40):

@@ -12,7 +12,13 @@ from orbitflex.exactpoly import (
 )
 from orbitflex.flexlab import random_unimodular
 
-from helpers import sylvester_first_subresultant, sylvester_matrix, sylvester_resultant
+from helpers import (
+    random_homogeneous,
+    resultant_at_naturals,
+    sylvester_first_subresultant,
+    sylvester_matrix,
+    sylvester_resultant,
+)
 
 # Univariate cases carry an unused second variable: resultant() takes
 # bivariate input only.
@@ -185,6 +191,21 @@ def test_first_subresultant_matches_sylvester_oracle():
         assert got.terms == want.terms, (f, g)
         skipped += got.is_zero() and not resultant(f, g, "v").is_zero()
     assert skipped >= 40
+
+
+def test_balanced_points_match_natural_points_oracle():
+    """The balanced evaluation points give the same resultant and sres_1,
+    term for term, as the points 0 .. k-1, also for curve-Hessian pairs."""
+    pairs = rand_pairs(random.Random(43))
+    for d, seed in ((4, 1), (5, 2)):
+        form = random_homogeneous(random.Random(seed), d)
+        g = linear_substitute(form, random_unimodular(random.Random(seed), 3))
+        pairs.append((g.dehomogenize("z"), hessian_determinant(g).dehomogenize("z")))
+    for f, g in pairs:
+        var = f.variables[1]
+        want_res, want_sres1 = resultant_at_naturals(f, g, var)
+        assert resultant(f, g, var).terms == want_res.terms, (f, g)
+        assert first_subresultant(f, g, var).terms == want_sres1.terms, (f, g)
 
 
 def test_first_subresultant_needs_positive_degrees():
