@@ -1,14 +1,13 @@
-"""Exact integer and rational polynomial algebra.
+"""Exact integer polynomial algebra.
 
 The computational substrate for the rest of the package: sparse
-multivariate polynomials whose coefficients are Python integers when
-integral and ``Fraction``s only otherwise, dense integer univariate
-polynomials with gcd and squarefree machinery, resultants of bivariate
-polynomials (subresultant remainder sequences at integer points, then
-integer interpolation), and integer factorization.  Everything here is
-exact; nothing rounds, ever.  The curve kernels take integer coefficients
-only, and ``resultant`` a nonzero constant top coefficient in the
-eliminated variable; other input raises.
+multivariate polynomials with Python integer coefficients, dense integer
+univariate polynomials with gcd and squarefree machinery, resultants of
+bivariate polynomials (subresultant remainder sequences at integer
+points, then integer interpolation), and integer factorization.
+Everything here is exact; nothing rounds, ever.  A coefficient that is
+not an integer raises ``TypeError``, and ``resultant`` needs a nonzero
+constant top coefficient in the eliminated variable.
 """
 
 from .intfactor import factor_integer, format_factorization, is_prime

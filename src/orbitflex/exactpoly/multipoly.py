@@ -1,17 +1,16 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with integer coefficients.
 
 A polynomial is a map from exponent vectors to nonzero coefficients:
 
-    x^2*y - 3/2*z  over ("x", "y", "z")  ->  {(2, 1, 0): 1, (0, 0, 1): Fraction(-3, 2)}
+    x^2*y - 3*z  over ("x", "y", "z")  ->  {(2, 1, 0): 1, (0, 0, 1): -3}
 
-A coefficient is stored canonically: as a plain ``int`` when it is
-integral and as a ``fractions.Fraction`` only otherwise, so polynomials
-with integer coefficients are computed on Python integers throughout.
-Every operation is exact; there is no floating-point mode.  Instances are
-immutable: all arithmetic returns new objects, and values can be shared
-freely across threads.  Sums, negations, powers and coerced constants
-keep the class of ``self``, so a subclass that only changes construction
-and products inherits the rest of the ring operations.
+Every coefficient is a Python ``int``; any other coefficient type raises
+``TypeError`` (a ``bool`` or other ``int`` subclass is stored as a plain
+``int``).  Every operation is exact; there is no floating-point mode.
+Instances are immutable: all arithmetic returns new objects, and values
+can be shared freely across threads.  Sums, negations, powers and coerced
+constants keep the class of ``self``, so a subclass that only changes
+construction and products inherits the rest of the ring operations.
 
 Terms are kept in no particular order internally; printing and iteration
 use graded-lexicographic order (total degree first, then lexicographic on
@@ -26,11 +25,9 @@ substitution).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .unipoly import _pack, _unpack
 
@@ -53,50 +50,34 @@ class SingularMatrixError(ValueError):
     """A linear substitution matrix is not invertible over the rationals."""
 
 
-Coeff = int | Fraction  # canonical: a Fraction here never has denominator 1
-
-
-def _as_rat(value: int | Fraction) -> Coeff:
-    """Canonical coefficient: ``int`` when integral, else ``Fraction``."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, int):
-        return int(value)  # bool and other int subclasses
-    raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
-
-
-def common_denominator(values: Iterable[int | Fraction]) -> int:
-    """Least common multiple of the denominators of exact rationals."""
-    return lcm(*(v.denominator for v in values))
-
-
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
     """Sort key for graded-lexicographic order (ascending)."""
     return (sum(exps), exps)
 
 
 class MultiPoly:
-    """Immutable sparse multivariate polynomial over the rationals."""
+    """Immutable sparse multivariate polynomial over the integers."""
 
     __slots__ = ("variables", "_terms", "_hash")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, int | Fraction]):
+    def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, int]):
         vs = tuple(variables)
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variable names in {vs}")
         nvars = len(vs)
-        clean: dict[Exponent, Coeff] = {}
-        for exps, coeff in terms.items():
+        clean: dict[Exponent, int] = {}
+        for exps, c in terms.items():
             e = tuple(exps)
             if len(e) != nvars:
                 raise ValueError(f"exponent vector {e} does not match variables {vs}")
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
-            c = _as_rat(coeff)
+            if type(c) is not int:
+                if not isinstance(c, int):
+                    raise TypeError(f"expected an integer coefficient, got {type(c).__name__}")
+                c = int(c)  # bool and other int subclasses
             if c:
-                clean[e] = _as_rat(clean[e] + c) if e in clean else c
+                clean[e] = clean.get(e, 0) + c
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "_terms", {e: c for e, c in clean.items() if c})
         object.__setattr__(self, "_hash", None)
@@ -113,9 +94,9 @@ class MultiPoly:
         return cls(variables, {})
 
     @classmethod
-    def const(cls, variables: Sequence[str], value: int | Fraction) -> "MultiPoly":
+    def const(cls, variables: Sequence[str], value: int) -> "MultiPoly":
         z = (0,) * len(tuple(variables))
-        return cls(variables, {z: _as_rat(value)})
+        return cls(variables, {z: value})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
@@ -127,16 +108,16 @@ class MultiPoly:
 
     @classmethod
     def monomial(
-        cls, variables: Sequence[str], exps: Exponent, coeff: int | Fraction = 1
+        cls, variables: Sequence[str], exps: Exponent, coeff: int = 1
     ) -> "MultiPoly":
-        return cls(variables, {tuple(exps): _as_rat(coeff)})
+        return cls(variables, {tuple(exps): coeff})
 
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Exponent, Coeff]:
+    def terms(self) -> dict[Exponent, int]:
         """Copy of the term map (exponent vector -> nonzero coefficient)."""
         return dict(self._terms)
 
@@ -149,7 +130,7 @@ class MultiPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, exps: Exponent) -> Coeff:
+    def coefficient(self, exps: Exponent) -> int:
         return self._terms.get(tuple(exps), 0)
 
     def total_degree(self) -> int | None:
@@ -202,7 +183,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self._check_same_vars(other)
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return type(self).const(self.variables, other)
         return None
 
@@ -238,7 +219,7 @@ class MultiPoly:
             return NotImplemented
         if not self._terms or not o._terms:
             return MultiPoly.zero(self.variables)
-        out: dict[Exponent, Coeff] = {}
+        out: dict[Exponent, int] = {}
         for ea, ca in self._terms.items():
             for eb, cb in o._terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
@@ -260,7 +241,7 @@ class MultiPoly:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiPoly.const(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -280,7 +261,7 @@ class MultiPoly:
     def diff(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
         i = self._var_index(var)
-        out: dict[Exponent, Coeff] = {}
+        out: dict[Exponent, int] = {}
         for e, c in self._terms.items():
             if e[i] == 0:
                 continue
@@ -289,9 +270,11 @@ class MultiPoly:
             out[tuple(d)] = c * e[i]
         return MultiPoly(self.variables, out)
 
-    def evaluate(self, values: Sequence[int | Fraction]) -> Coeff:
-        """Evaluate at a point, one value per variable."""
-        vals = [_as_rat(v) for v in values]
+    def evaluate(self, values: Sequence[int]) -> int:
+        """Evaluate at an integer point, one value per variable."""
+        vals = list(values)
+        if any(not isinstance(v, int) for v in vals):
+            raise TypeError(f"expected integer values, got {vals}")
         if len(vals) != len(self.variables):
             raise ValueError(
                 f"expected {len(self.variables)} values, got {len(vals)}"
@@ -303,13 +286,13 @@ class MultiPoly:
                 if k:
                     term *= v**k
             total += term
-        return _as_rat(total)
+        return total
 
     def dehomogenize(self, var: str) -> "MultiPoly":
         """Set one variable to 1, dropping it from the variable list."""
         i = self._var_index(var)
         rest = self.variables[:i] + self.variables[i + 1 :]
-        out: dict[Exponent, Coeff] = {}
+        out: dict[Exponent, int] = {}
         for e, c in self._terms.items():
             r = e[:i] + e[i + 1 :]
             out[r] = out.get(r, 0) + c
@@ -326,7 +309,7 @@ class MultiPoly:
         if not self._terms:
             return []
         top = max(e[i] for e in self._terms)
-        buckets: list[dict[Exponent, Coeff]] = [{} for _ in range(top + 1)]
+        buckets: list[dict[Exponent, int]] = [{} for _ in range(top + 1)]
         for e, c in self._terms.items():
             r = e[:i] + e[i + 1 :]
             buckets[e[i]][r] = buckets[e[i]].get(r, 0) + c
@@ -336,7 +319,7 @@ class MultiPoly:
     # Printing
     # ------------------------------------------------------------------
 
-    def sorted_terms(self) -> Iterator[tuple[Exponent, Coeff]]:
+    def sorted_terms(self) -> Iterator[tuple[Exponent, int]]:
         """Terms in descending graded-lexicographic order."""
         for e in sorted(self._terms, key=grlex_key, reverse=True):
             yield e, self._terms[e]
@@ -385,11 +368,6 @@ def det3(m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _require_integral(p: MultiPoly) -> None:
-    if any(type(c) is not int for c in p._terms.values()):
-        raise TypeError(f"expected integer coefficients, got {p}")
-
-
 def _unpack_form(
     packed: int, b: int, width: int, degree: int, variables: Sequence[str]
 ) -> MultiPoly:
@@ -409,9 +387,9 @@ def _unpack_form(
 def hessian_determinant(form: MultiPoly) -> MultiPoly:
     """Determinant of the matrix of second partials of a ternary form.
 
-    The input must be an integer form, homogeneous of degree >= 2 in
-    exactly three variables; the result is homogeneous of degree 3*(d - 2),
-    or zero when the second-derivative matrix is everywhere rank-deficient.
+    The input must be homogeneous of degree >= 2 in exactly three
+    variables; the result is homogeneous of degree 3*(d - 2), or zero when
+    the second-derivative matrix is everywhere rank-deficient.
 
     The determinant is taken on packed integers (Kronecker substitution).
     A second partial, of degree e = d - 2, packs its terms c*x**i*y**j*z**k
@@ -426,7 +404,6 @@ def hessian_determinant(form: MultiPoly) -> MultiPoly:
     d = form.homogeneous_degree()
     if d < 2:
         raise ValueError(f"form degree must be at least 2, got {d}")
-    _require_integral(form)
     vs = form.variables
     firsts = [form.diff(v) for v in vs]
     seconds = {(r, c): firsts[r].diff(vs[c]) for r in range(3) for c in range(r, 3)}
@@ -449,7 +426,7 @@ def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPol
 
     ``matrix`` is a 3x3 integer matrix M; the result is p(M @ (x, y, z)),
     i.e. each variable is replaced by the corresponding row combination.
-    The input must be a homogeneous integer form; zero maps to zero.
+    The input must be homogeneous; zero maps to zero.
 
     The composition is one sum on packed integers (Kronecker substitution),
     like ``hessian_determinant``.  At z = 1 the result, of degree d, has
@@ -472,7 +449,6 @@ def linear_substitute(p: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPol
     if not p._terms:
         return p
     d = p.homogeneous_degree()
-    _require_integral(p)
     n0, n1, n2 = (sum(map(abs, r)) for r in rows)
     bound = sum(abs(c) * n0**i * n1**j * n2**k for (i, j, k), c in p._terms.items())
     b = bound.bit_length() + 1

@@ -44,8 +44,7 @@ def resultant(
 
     Returns an integer polynomial over the remaining variable.  Each
     argument needs positive degree in ``var`` and a nonzero constant top
-    coefficient in ``var``; else it raises ValueError, and TypeError for a
-    coefficient that is not an integer.
+    coefficient in ``var``; else it raises ValueError.
 
     When ``first_subresultant`` is a list, a function of no arguments is
     appended to it that returns the first principal subresultant
@@ -85,8 +84,6 @@ def _dense_in(p: MultiPoly, var: str) -> list[IntPoly]:
     i = p._var_index(var)
     rows: list[IntPoly] = [[] for _ in range(p.degree_in(var) + 1)]
     for e, c in p.terms.items():
-        if type(c) is not int:
-            raise TypeError(f"resultant needs integer coefficients, got {c!r}")
         row, j = rows[e[i]], e[1 - i]
         row.extend([0] * (j + 1 - len(row)))
         row[j] = c

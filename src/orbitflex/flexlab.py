@@ -6,7 +6,7 @@ flex, r = 2 a hyperflex.  The weighted flex count of a smooth degree-d
 curve is always 3d(d-2).
 
 ``flex_profile`` counts flexes of each order over the algebraic closure
-without ever leaving exact rational arithmetic: flex orders equal the
+without ever leaving exact integer arithmetic: flex orders equal the
 local intersection multiplicities of the curve with its Hessian, and
 after a random integer shear with small entries those multiplicities
 are read off the squarefree decomposition of the curve-Hessian resultant.
@@ -16,18 +16,18 @@ on the line z = 0 decides first, and the projection must separate the
 intersection points, which a squarefree resultant proves at once and the
 first subresultant proves otherwise (Gonzalez-Vega & El Kahoui 1996).
 So a certified profile is proved; a second, different shear is drawn as
-a cross-check and must agree.  After the curve is scaled to integer
-coefficients every step runs on Python integers, and the whole
-computation is deterministic given the seed.
+a cross-check and must agree.  Every step runs on Python integers, and
+the whole computation is deterministic given the seed.
 
 ``check_smooth`` certifies that the three partial derivatives share no
 projective zero, by eliminating one variable from two pairs of partials
 and taking a gcd of the resulting binary forms; ``random_unimodular``
 coordinates make the elimination free of extraneous factors, so a
 trivial gcd is a proof of smoothness.  A nontrivial gcd triggers an
-attempt to exhibit a rational singular point, then a retry in new
-coordinates.  Two partials that share a component prove the curve
-singular without naming a point, so the witness search goes on too.
+attempt to exhibit a rational singular point, a primitive integer
+triple, then a retry in new coordinates.  Two partials that share a
+component prove the curve singular without naming a point, so the
+witness search goes on too.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd as int_gcd
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from .exactpoly import (
@@ -50,7 +51,6 @@ from .exactpoly import (
     resultant,
     squarefree_decompose,
 )
-from .exactpoly.multipoly import common_denominator
 from .exactpoly.resultant import _prs_subresultants
 from .exactpoly.unipoly import _derivative, _divexact, _primitive
 from .exactpoly.unipoly import gcd as poly_gcd
@@ -59,18 +59,21 @@ RETRY_BUDGET = 8
 INITIAL_BOUND = 3
 INITIAL_SHEAR_BOUND = 2
 
-Point = tuple[Fraction, Fraction, Fraction]
+Point = tuple[int, int, int]
 
 
 class SingularCurveError(Exception):
     """The form defines a singular curve.
 
-    ``witness`` is a projective point killing all three partials when one
-    with rational coordinates was found, else None.
+    ``witness`` is a projective point killing all three partials, as a
+    primitive integer triple, when one with rational coordinates was
+    found, else None.  The message shows it as a triple of ``Fraction``s.
     """
 
     def __init__(self, message: str, witness: Point | None = None):
-        super().__init__(message if witness is None else f"{message}; witness {witness}")
+        super().__init__(
+            message if witness is None else f"{message}; witness {tuple(map(Fraction, witness))}"
+        )
         self.witness = witness
 
 
@@ -176,14 +179,11 @@ def f_sums(profile: FlexProfile) -> FlexSums:
 
 
 def _integer_form(p: MultiPoly) -> MultiPoly:
-    """Rescale to coprime integer coefficients (profile-invariant)."""
-    terms = p.terms
-    den = common_denominator(terms.values())
-    ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-    content = int_gcd(*ints.values())
-    if content > 1:
-        ints = {e: v // content for e, v in ints.items()}
-    return MultiPoly(p.variables, ints)
+    """Divide out the content (profile-invariant)."""
+    content = int_gcd(*p.terms.values())
+    if content <= 1:
+        return p
+    return MultiPoly(p.variables, {e: c // content for e, c in p.terms.items()})
 
 
 def _int_poly(p: MultiPoly) -> IntPoly:
@@ -241,20 +241,16 @@ def random_shear(rng: random.Random, bound: int, tried: set) -> list[list[int]]:
             return [[1, a, 0], [0, 1, 0], [c, b, 1]]
 
 
-def _apply_matrix(m: Sequence[Sequence[int]], v: Sequence[Fraction]) -> Point:
-    return tuple(sum(Fraction(m[i][j]) * v[j] for j in range(3)) for i in range(3))
+def _apply_matrix(m: Sequence[Sequence[int]], v: Sequence[int]) -> Point:
+    return tuple(sum(m[i][j] * v[j] for j in range(3)) for i in range(3))
 
 
-def _normalize_point(v: Sequence[Fraction]) -> Point:
-    den = common_denominator(v)
-    ints = [c.numerator * (den // c.denominator) for c in v]
-    g = int_gcd(*ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    lead = next((c for c in ints if c != 0), 1)
-    if lead < 0:
-        ints = [-c for c in ints]
-    return tuple(Fraction(c) for c in ints)
+def _normalize_point(v: Sequence[int]) -> Point:
+    """The primitive triple for (v), its first nonzero entry positive."""
+    g = int_gcd(*v)
+    if next(c for c in v if c) < 0:
+        g = -g
+    return tuple(c // g for c in v)
 
 
 # ----------------------------------------------------------------------
@@ -283,7 +279,7 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
         if p.is_zero():
             # The form misses variable i entirely; the corresponding
             # coordinate point kills all three partials.
-            witness = tuple(Fraction(1 if j == i else 0) for j in range(3))
+            witness = tuple(1 if j == i else 0 for j in range(3))
             raise SingularCurveError("gradient vanishes identically in one direction", witness)
 
     rng = random.Random(0x5EED)
@@ -300,7 +296,7 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
             if all(p.evaluate(pt) == 0 for p in grads):
                 raise SingularCurveError(
                     "all partial derivatives vanish at a coordinate point",
-                    _normalize_point(_apply_matrix(m, tuple(map(Fraction, pt)))),
+                    _normalize_point(_apply_matrix(m, pt)),
                 )
         # Clean elimination needs the top z-coefficient of each partial to
         # be a nonzero constant, i.e. no partial vanishing at (0:0:1).
@@ -341,14 +337,14 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
 
 def _binary_common_roots(
     r1: MultiPoly, r2: MultiPoly, deg1: int, deg2: int
-) -> list[tuple[Fraction, Fraction]] | None:
+) -> list[tuple[int, int]] | None:
     """Common projective roots of two binary forms given dehomogenized.
 
     ``r1``/``r2`` are the y=1 specializations of forms of degree ``deg1``
     and ``deg2`` in (x, y).  Returns None when there is no common root
     (the smoothness certificate), otherwise a list of the rational common
-    roots found, as (x0, y0) pairs -- possibly empty when every common
-    root is irrational.
+    roots found, as integer pairs (x0, y0) -- possibly empty when every
+    common root is irrational.
     """
     u1 = _int_poly(r1)
     u2 = _int_poly(r2)
@@ -359,19 +355,20 @@ def _binary_common_roots(
     root_at_infinity = len(u1) - 1 < deg1 and len(u2) - 1 < deg2
     if len(g) == 1 and not root_at_zero and not root_at_infinity:
         return None
-    found: list[tuple[Fraction, Fraction]] = []
+    found: list[tuple[int, int]] = []
     if root_at_zero:
-        found.append((Fraction(0), Fraction(1)))
+        found.append((0, 1))
     if root_at_infinity:
-        found.append((Fraction(1), Fraction(0)))
+        found.append((1, 0))
     if len(g) > 1:
-        found.extend((t, Fraction(1)) for t in _rational_roots(g))
+        found.extend(_rational_roots(g))
     return found
 
 
-def _rational_roots(ints: IntPoly) -> list[Fraction]:
-    """All rational roots of a nonzero integer polynomial, in increasing
-    order, found without factoring any coefficient.
+def _rational_roots(ints: IntPoly) -> list[tuple[int, int]]:
+    """All rational roots a/q of a nonzero integer polynomial, in lowest
+    terms with q > 0, as pairs (a, q) in increasing order of a/q, found
+    without factoring any coefficient.
 
     A root a/q of the squarefree part p, in lowest terms, makes lc*a/q an
     integer of size at most |lc*c|, c the lowest nonzero coefficient.  Each
@@ -380,6 +377,8 @@ def _rational_roots(ints: IntPoly) -> list[Fraction]:
     and lc*root, balanced and divided by lc, is tested exactly.
     """
     p = _divexact(ints, poly_gcd(ints, _derivative(ints)))
+    if p[-1] < 0:
+        p = [-c for c in p]
     dp = _derivative(p)
     lead = p[-1]
     for prime in (n for n in count(2) if lead % n and is_prime(n)):
@@ -394,10 +393,11 @@ def _rational_roots(ints: IntPoly) -> list[Fraction]:
             m *= m
             r = (r - _value_mod(p, r, m) * pow(_value_mod(dp, r, m), -1, m)) % m
         n = lead * r % m
-        cand = Fraction(n - m if 2 * n > m else n, lead)
-        if _vanishes_at(p, cand.numerator, cand.denominator):
-            roots.append(cand)
-    return sorted(roots)
+        n = n - m if 2 * n > m else n
+        g = int_gcd(n, lead)
+        if _vanishes_at(p, n // g, lead // g):
+            roots.append((n // g, lead // g))
+    return sorted(roots, key=lambda root: root[0] * lead // root[1])  # lc * root, lc > 0
 
 
 def _value_mod(p: IntPoly, x: int, m: int) -> int:
@@ -418,19 +418,20 @@ def _vanishes_at(p: IntPoly, a: int, q: int) -> bool:
 
 
 def _find_rational_witness(
-    grads: Sequence[MultiPoly], candidates: list[tuple[Fraction, Fraction]]
+    grads: Sequence[MultiPoly], candidates: list[tuple[int, int]]
 ) -> Point | None:
     """A rational common zero of the partials over a candidate (x0 : y0).
-    No fibre p(x0, y0, z) is zero: each p has a constant top z-coefficient."""
+    The z-coefficients of each partial p are forms in (x, y), so the fibre
+    p(x0, y0, z) is an integer polynomial; none is zero, because each p has
+    a constant top z-coefficient."""
     for x0, y0 in candidates:
         h: IntPoly = []
-        for p in grads:  # the fibre p(x0, y0, z), read off p's coefficients in z
-            fibre = {(k,): c.evaluate((x0, y0)) for k, c in enumerate(p.coefficients_in("z"))}
-            h = poly_gcd(h, _int_poly(_integer_form(MultiPoly(("z",), fibre))))
+        for p in grads:
+            h = poly_gcd(h, [c.evaluate((x0, y0)) for c in p.coefficients_in("z")])
         if len(h) == 1:
             continue
-        for z0 in _rational_roots(h):
-            point = (x0, y0, z0)
+        for a, q in _rational_roots(h):
+            point = (x0 * q, y0 * q, a)
             if all(p.evaluate(point) == 0 for p in grads):
                 return point
     return None
@@ -449,7 +450,8 @@ def flex_order_at(curve: PlaneCurve, point: Sequence[int | Fraction]) -> int:
     r + 2, the order of vanishing of F along the line at q, is the first
     k with (D_v**k F)(q) != 0.
     """
-    q = tuple(Fraction(c) for c in point)
+    den = lcm(*(Fraction(c).denominator for c in point))
+    q = tuple(int(c * den) for c in point)
     if len(q) != 3 or all(c == 0 for c in q):
         raise ValueError(f"not a projective point: {point}")
     form = curve.form
@@ -459,7 +461,7 @@ def flex_order_at(curve: PlaneCurve, point: Sequence[int | Fraction]) -> int:
     # Vectors spanning the tangent line a*x + b*y + c*z = 0; the point
     # itself lies on it by the Euler identity.  They are all zero exactly
     # when the gradient vanishes at q.
-    for v in ((b, -a, Fraction(0)), (c, Fraction(0), -a), (Fraction(0), c, -b)):
+    for v in ((b, -a, 0), (c, 0, -a), (0, c, -b)):
         cross = (
             q[1] * v[2] - q[2] * v[1],
             q[2] * v[0] - q[0] * v[2],

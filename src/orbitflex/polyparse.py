@@ -21,15 +21,22 @@ Grammar (EBNF)::
 
 Exponents are nonnegative integer literals; "/" only appears inside
 numeric literals.  Whitespace is insignificant.  Every rejection carries
-the offending position; that includes a power of a constant other than
-0, +-1 whose exponent times bit length exceeds MAX_CONSTANT_POWER_BITS.
-A parsed form must be homogeneous and nonzero; ``parse_form`` returns it
-together with its degree.
+the offending position; that includes a power whose exponent times the
+bit length of N exceeds MAX_CONSTANT_POWER_BITS, for N > 1 the larger of
+the base's coefficient 1-norm and denominator, so no power builds a
+coefficient or denominator longer than that.
+
+Denominators are cleared: a partial result is an integer polynomial P
+and a denominator D > 0, and the gcd of D and P's content is divided out
+at the end.  So the parsed polynomial is the expression times the lcm of
+its coefficient denominators (a form scaled by a constant defines the
+same curve), and integer input parses to itself.  A parsed form must be
+homogeneous and nonzero; ``parse_form`` returns it with its degree.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from .exactpoly import MultiPoly, NonHomogeneousError
 from .exactpoly.unipoly import ZeroPolynomialError
@@ -48,6 +55,17 @@ class ParseError(ValueError):
 
 class UnknownVariableError(ParseError):
     """A letter other than x, y, z appeared in the expression."""
+
+
+Scaled = tuple[MultiPoly, int]  # (P, D) stands for P / D, with D > 0
+
+
+def _reduced(p: MultiPoly, den: int) -> Scaled:
+    """(P/g, D/g) for g the gcd of D and the coefficients of P."""
+    if den == 1:
+        return p, den
+    g = gcd(den, *p.terms.values())
+    return MultiPoly(p.variables, {e: c // g for e, c in p.terms.items()}), den // g
 
 
 class _Token:
@@ -110,64 +128,69 @@ class _Parser:
         return self.advance()
 
     # expr = term { ("+" | "-") term }
-    def expr(self) -> MultiPoly:
-        acc = self.term()
+    def expr(self) -> Scaled:
+        acc, den = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            rhs = self.term()
+            rhs, rden = self.term()
+            if rden != den:
+                common = lcm(den, rden)
+                acc, rhs, den = acc * (common // den), rhs * (common // rden), common
             acc = acc + rhs if op.kind == "+" else acc - rhs
-        return acc
+        return acc, den
 
     # term = signed { "*" signed | factor }; a bare "-" never continues a
     # term, so "x - y" stays a subtraction rather than x * (-y).
-    def term(self) -> MultiPoly:
-        acc = self.signed()
+    def term(self) -> Scaled:
+        acc, den = self.signed()
         while True:
             tok = self.peek()
             if tok.kind == "*":
                 self.advance()
-                acc = acc * self.signed()
+                rhs, rden = self.signed()
             elif tok.kind in ("num", "var", "("):
-                acc = acc * self.factor()
+                rhs, rden = self.factor()
             else:
-                return acc
+                return acc, den
+            acc, den = acc * rhs, den * rden
 
-    def signed(self) -> MultiPoly:
+    def signed(self) -> Scaled:
         if self.peek().kind == "-":
             self.advance()
-            return -self.signed()
+            p, den = self.signed()
+            return -p, den
         return self.factor()
 
     # factor = atom [ "^" natural ]
-    def factor(self) -> MultiPoly:
+    def factor(self) -> Scaled:
         base = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            tok = self.expect("num")
-            exponent = int(tok.value)
-            c = base.coefficient((0, 0, 0)) if base.total_degree() == 0 else 0
-            bits = max(abs(c.numerator), c.denominator).bit_length()
-            if c not in (0, 1, -1) and exponent * bits > MAX_CONSTANT_POWER_BITS:
-                raise ParseError(f"constant power exceeds {MAX_CONSTANT_POWER_BITS} bits", tok.pos)
-            return base**exponent
-        return base
+        if self.peek().kind != "^":
+            return base
+        self.advance()
+        tok = self.expect("num")
+        exponent = int(tok.value)
+        p, den = _reduced(*base)
+        bound = max(sum(map(abs, p.terms.values())), den)
+        if bound > 1 and exponent * bound.bit_length() > MAX_CONSTANT_POWER_BITS:
+            raise ParseError(f"power exceeds {MAX_CONSTANT_POWER_BITS} coefficient bits", tok.pos)
+        return p**exponent, den**exponent
 
-    def atom(self) -> MultiPoly:
+    def atom(self) -> Scaled:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            numerator = int(tok.value)
+            value = MultiPoly.const(CURVE_VARS, int(tok.value))
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.expect("num")
                 den = int(den_tok.value)
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", den_tok.pos)
-                return MultiPoly.const(CURVE_VARS, Fraction(numerator, den))
-            return MultiPoly.const(CURVE_VARS, numerator)
+                return value, den
+            return value, 1
         if tok.kind == "var":
             self.advance()
-            return MultiPoly.var(CURVE_VARS, tok.value)
+            return MultiPoly.var(CURVE_VARS, tok.value), 1
         if tok.kind == "(":
             self.advance()
             inner = self.expr()
@@ -177,18 +200,19 @@ class _Parser:
 
 
 def parse_expression(text: str) -> MultiPoly:
-    """Parse an expression over x, y, z without the homogeneity checks."""
+    """Parse an expression over x, y, z without the homogeneity checks;
+    returns it times the lcm of its coefficient denominators."""
     if not text.strip():
         raise ParseError("empty expression", 0)
     parser = _Parser(_tokenize(text))
     try:
-        poly = parser.expr()
+        poly, den = parser.expr()
     except RecursionError:
         raise ParseError("expression nested too deeply", 0) from None
     end = parser.peek()
     if end.kind != "end":
         raise ParseError(f"unexpected {end.value!r} after expression", end.pos)
-    return poly
+    return _reduced(poly, den)[0]
 
 
 def parse_form(text: str) -> tuple[MultiPoly, int]:

@@ -80,10 +80,6 @@ def random_valid_profile(rng: random.Random, d: int) -> dict[int, int]:
     return counts
 
 
-def frac(n: int, d: int = 1) -> Fraction:
-    return Fraction(n, d)
-
-
 # ----------------------------------------------------------------------
 # Reference algorithms kept as differential oracles
 # ----------------------------------------------------------------------
@@ -158,30 +154,21 @@ def sylvester_first_subresultant(f: MultiPoly, g: MultiPoly, var: str) -> MultiP
 
 
 def _interpolated_det(rows: list[list[MultiPoly]], rest: tuple[str, ...]) -> MultiPoly:
-    """Determinant of a matrix of univariate polynomials.
+    """Determinant of a matrix of univariate integer polynomials.
 
-    Rows are scaled to integer entries, the matrix is evaluated at
-    t = 0 .. k-1 with k - 1 the sum of the row degrees, each integer
-    determinant comes from Bareiss elimination, and the values are
-    interpolated over the rationals.
+    The matrix is evaluated at t = 0 .. k-1 with k - 1 the sum of the row
+    degrees, each integer determinant comes from Bareiss elimination, and
+    the values are interpolated over the rationals.
     """
-    scale = 1
-    scaled = []
-    for row in rows:
-        den = 1
-        for entry in row:
-            for c in entry.terms.values():
-                den = den * c.denominator // gcd(den, c.denominator)
-        scale *= den
-        scaled.append([entry * den for entry in row])
-    k = 1 + sum(max(entry.total_degree() or 0 for entry in row) for row in scaled)
+    k = 1 + sum(max(entry.total_degree() or 0 for entry in row) for row in rows)
     points = list(range(k))
-    values = []
-    for t in points:
-        det = bareiss_det_int([[int(e.evaluate((t,))) for e in row] for row in scaled])
-        values.append(Fraction(det, scale))
+    values = [
+        Fraction(bareiss_det_int([[e.evaluate((t,)) for e in row] for row in rows]))
+        for t in points
+    ]
     coeffs = newton_interpolate(points, values)
-    return MultiPoly(rest, {(i,): c for i, c in enumerate(coeffs)})
+    assert all(c.denominator == 1 for c in coeffs), coeffs
+    return MultiPoly(rest, {(i,): int(c) for i, c in enumerate(coeffs)})
 
 
 def resultant_at_naturals(f: MultiPoly, g: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:

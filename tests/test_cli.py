@@ -86,11 +86,12 @@ def test_syntax_error_exit_code(capsys):
 
 
 def test_huge_constant_power_exits_two_at_once(capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "flexes", "5z* 4^3591443783")
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert "constant power exceeds" in err
+    for text in ("5z* 4^3591443783", "5z* (4x)^3591443783"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "flexes", text)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "power exceeds" in err
 
 
 def test_non_homogeneous_exit_code(capsys):
@@ -239,6 +240,21 @@ def test_fractional_coefficient_curve_through_cli(capsys):
     code, out, _ = run(capsys, "flexes", "1/2x^3 + 1/2y^3 + 1/2z^3")
     assert code == 0
     assert "order 1 x 9" in out
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_rational_curve_runs_as_its_cleared_form(capsys, seed):
+    # The parser clears denominators, so 1/2x^3 + y^3 + z^3 runs as
+    # x^3 + 2y^3 + 2z^3: the same stdout, apart from the echoed curve.
+    runs = []
+    for text in ("1/2x^3 + y^3 + z^3", "x^3 + 2y^3 + 2z^3"):
+        flexes = run(capsys, "--seed", seed, "flexes", text)
+        code, out, err = run(capsys, "--seed", seed, "--json", "predegree", text)
+        payload = json.loads(out)
+        assert payload.pop("curve") == text
+        runs.append((flexes, code, err, payload))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == 0 and "order 1 x 9" in runs[0][0][1]
 
 
 def test_genericity_failure_exits_one():

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -571,7 +572,7 @@ def test_rational_roots_agree_with_divisor_search():
         p = _planted(rng, roots, rng.sample(_NO_RATIONAL_ROOT, rng.randint(0, 2)))
         expected = sorted(set(roots))
         assert sorted(rational_roots_by_divisors(p)) == expected
-        assert flexlab._rational_roots(p) == expected
+        assert [Fraction(a, q) for a, q in flexlab._rational_roots(p)] == expected
 
 
 def test_rational_roots_with_large_prime_factors():
@@ -587,7 +588,9 @@ def test_rational_roots_with_large_prime_factors():
         ]
         roots += rng.sample(roots, min(len(roots), rng.randint(0, 1)))
         p = _planted(rng, roots, rng.sample(others, rng.randint(0, 2)))
-        assert flexlab._rational_roots(p) == sorted(set(roots))
+        found = flexlab._rational_roots(p)
+        assert [Fraction(a, q) for a, q in found] == sorted(set(roots))
+        assert all(q > 0 and gcd(a, q) == 1 for a, q in found)
 
 
 def _small_rational_points(form, bound=3):

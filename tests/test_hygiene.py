@@ -1,5 +1,5 @@
-"""Repository hygiene: the README's examples run, and no module imports a
-name it never uses."""
+"""Repository hygiene: the README's examples run, no module imports a
+name it never uses, and the polynomial core does not import ``fractions``."""
 
 import ast
 import re
@@ -59,6 +59,26 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the modules a file imports (absolute imports)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", sorted((PACKAGE / "exactpoly").glob("*.py")), ids=lambda p: p.name
+)
+def test_exactpoly_has_integer_coefficients_only(path):
+    # MultiPoly and the kernels under it work over the integers; the parser
+    # clears denominators before a form gets here.
+    assert "fractions" not in imported_modules(path)
+
+
 def test_unused_import_is_caught(tmp_path):
     module = tmp_path / "m.py"
     module.write_text(
@@ -67,3 +87,4 @@ def test_unused_import_is_caught(tmp_path):
         'def f(x: "Mapping[int, int]") -> None: ...\n'
     )
     assert unused_imports(module) == ["Sequence (line 1)"]
+    assert imported_modules(module) == {"typing", "os"}

@@ -13,6 +13,7 @@ from orbitflex.exactpoly import (
     linear_substitute,
 )
 from orbitflex.flexlab import random_unimodular
+from orbitflex.polyparse import parse_expression
 from helpers import (
     CURVE_VARS,
     hessian_cofactor,
@@ -26,10 +27,10 @@ X = MultiPoly.var(V, "x")
 Y = MultiPoly.var(V, "y")
 Z = MultiPoly.var(V, "z")
 RATIONAL_FORMS = [
-    MultiPoly(V, {(4, 0, 0): Fraction(1, 2), (1, 3, 0): Fraction(-1, 3),
-                  (0, 1, 3): Fraction(5, 7), (2, 1, 1): 3}),
-    X**3 + Fraction(2, 9) * Y**2 * Z - Fraction(4, 15) * X * Y * Z,
-    Fraction(-1, 6) * Z**5,
+    {(4, 0, 0): Fraction(1, 2), (1, 3, 0): Fraction(-1, 3), (0, 1, 3): Fraction(5, 7),
+     (2, 1, 1): 3},
+    {(3, 0, 0): 1, (0, 2, 1): Fraction(2, 9), (1, 1, 1): Fraction(-4, 15)},
+    {(0, 0, 5): Fraction(-1, 6)},
 ]
 
 
@@ -107,9 +108,10 @@ def test_hessian_rejects_non_homogeneous():
 
 
 def test_hessian_rejects_rational_coefficients():
-    for form in RATIONAL_FORMS:
-        with pytest.raises(TypeError, match="integer coefficients"):
-            hessian_determinant(form)
+    # A rational form cannot be built, so it never reaches the Hessian.
+    for terms in RATIONAL_FORMS:
+        with pytest.raises(TypeError, match="integer coefficient"):
+            hessian_determinant(MultiPoly(V, terms))
 
 
 def test_linear_substitute_identity():
@@ -173,14 +175,19 @@ def test_linear_substitute_rejects_non_homogeneous():
 
 def test_linear_substitute_rejects_rational_coefficients():
     rng = random.Random(71)
-    for form in RATIONAL_FORMS:
-        with pytest.raises(TypeError, match="integer coefficients"):
-            linear_substitute(form, random_unimodular(rng, 3))
+    for terms in RATIONAL_FORMS:
+        with pytest.raises(TypeError, match="integer coefficient"):
+            linear_substitute(MultiPoly(V, terms), random_unimodular(rng, 3))
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * X
 
 
 def test_rational_coefficients_stay_exact():
-    p = MultiPoly.const(V, Fraction(1, 3)) * X + MultiPoly.const(V, Fraction(1, 6)) * X
-    assert p == MultiPoly.monomial(V, (1, 0, 0), Fraction(1, 2))
+    # The parser clears denominators: 1/3 x + 1/6 x = 1/2 x, times 2.
+    assert parse_expression("1/3x + 1/6x") == X
+    assert parse_expression("1/3x + 1/6y") == 2 * X + Y
+    # (1/2 x + 1/3 y)^2 - 1/4 x^2 = 1/3 xy + 1/9 y^2, times 9
+    assert parse_expression("(1/2x + 1/3y)^2 - 1/4x^2") == 3 * X * Y + Y**2
 
 
 def test_canonical_string_ordering():
@@ -232,14 +239,18 @@ def test_integral_coefficients_stay_int():
     def all_int(p):
         return all(type(c) is int for c in p.terms.values())
 
-    assert MultiPoly.const(V, Fraction(6, 3)).terms == {(0, 0, 0): 2}
-    assert type(MultiPoly.const(V, Fraction(6, 3)).coefficient((0, 0, 0))) is int
+    with pytest.raises(TypeError):
+        MultiPoly.const(V, Fraction(6, 3))
+    with pytest.raises(TypeError):
+        MultiPoly(("x",), {(1,): Fraction(1, 2)})
     assert type(MultiPoly.monomial(V, (1, 0, 0), True).coefficient((1, 0, 0))) is int
-    assert all_int(MultiPoly.const(V, Fraction(1, 2)) * 2 * X + Y)
+    assert all_int(True * X + Y)
     with pytest.raises(TypeError):
         MultiPoly.const(V, 1.0)
     with pytest.raises(TypeError):
         MultiPoly(V, {(1, 0, 0): 0.5})
+    with pytest.raises(TypeError):
+        X.evaluate((Fraction(1, 2), 1, 1))
 
     # The centre (2:1:1) of the projection from (0:1:0) is on neither the
     # curve nor its Hessian, as the resultant requires.
@@ -251,8 +262,8 @@ def test_integral_coefficients_stay_int():
     for p in [G, H, R, *gradient(G)]:
         assert not p.is_zero() and all_int(p)
 
-    rational = MultiPoly(V, {(4, 0, 0): Fraction(1, 2), (1, 3, 0): Fraction(1, 3),
-                             (0, 1, 3): Fraction(5, 7)})
-    integral = 42 * rational
-    assert all_int(integral) and not all_int(rational)
-    assert flex_profile(check_smooth(rational)) == flex_profile(check_smooth(integral))
+    # The parser returns the rational form times 42, the lcm of its
+    # denominators; scaling by a constant changes no profile.
+    cleared = parse_expression("1/2x^4 + 1/3x*y^3 + 5/7y*z^3")
+    assert cleared == 21 * X**4 + 14 * X * Y**3 + 30 * Y * Z**3
+    assert flex_profile(check_smooth(cleared)) == flex_profile(check_smooth(6 * cleared))

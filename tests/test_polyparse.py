@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -49,9 +48,12 @@ def test_whitespace_insensitive():
 
 
 def test_rational_coefficients():
-    poly = parse_expression("1/2x^2 + 3/4y^2")
-    assert poly.coefficient((2, 0, 0)) == Fraction(1, 2)
-    assert poly.coefficient((0, 2, 0)) == Fraction(3, 4)
+    # 1/2 x^2 + 3/4 y^2 times 4, the lcm of its denominators
+    assert parse_expression("1/2x^2 + 3/4y^2") == 2 * X**2 + 3 * Y**2
+    assert parse_expression("2/4x - 3y") == X - 6 * Y
+    assert parse_expression("1/2x^3 + 1/2y^3") == X**3 + Y**3
+    assert parse_expression("-6/3x*y") == -2 * X * Y
+    assert parse_expression("1/2x - 1/2x").is_zero()
 
 
 def test_integer_coefficient_juxtaposition():
@@ -112,13 +114,18 @@ def test_exponent_must_be_literal():
 
 
 def test_constant_power_size_guard():
-    # exponent x bit length: 2 has two bits, 1/3 has two, -1 and 0 are exempt
+    # exponent x bit length of the larger of the base's coefficient 1-norm
+    # and denominator: 2 has two bits, 1/3 two, 4x three (1-norm 4), x + y
+    # two, 1/3x two (denominator 3); -1, 0 and x (1-norm 1) are exempt
     assert parse_expression("2^32768") == MultiPoly.const(V, 2**32768)
-    for text, pos in (("2^32769", 2), ("x*(1/3)^32769", 8), ("(2^300)^300", 8)):
-        with pytest.raises(ParseError, match="constant power exceeds") as err:
+    for text, pos in (("2^32769", 2), ("x*(1/3)^32769", 8), ("(2^300)^300", 8),
+                      ("5z* (4x)^3591443783", 9), ("(x + y)^32769", 8), ("(1/3x)^32769", 7)):
+        with pytest.raises(ParseError, match="power exceeds") as err:
             parse_expression(text)
         assert err.value.position == pos
     assert parse_expression("(-1)^999999 + 0^999999") == MultiPoly.const(V, -1)
+    assert parse_expression("(2/4x)^3") == X**3
+    assert parse_expression("x^70000") == X**70000
 
 
 def test_roundtrip_with_canonical_printer():
@@ -132,7 +139,9 @@ def test_roundtrip_with_canonical_printer():
 
 
 def test_roundtrip_with_fraction_coefficients():
-    p = MultiPoly(V, {(2, 1, 0): Fraction(7, 3), (0, 0, 3): Fraction(-1, 2)})
+    # 7/3 x^2 y - 1/2 z^3 parses to its cleared form, which round-trips.
+    p = parse_expression("7/3*x^2*y - 1/2*z^3")
+    assert p == 14 * X**2 * Y - 3 * Z**3
     assert parse_expression(str(p)) == p
 
 

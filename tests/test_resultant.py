@@ -99,10 +99,11 @@ def test_degree_zero_rejected():
 
 
 def test_rational_coefficient_rejected():
-    with pytest.raises(TypeError, match="integer coefficients"):
-        resultant(t**2 + Fraction(1, 2), t - 1, "t")
-    with pytest.raises(TypeError, match="integer coefficients"):
-        resultant(t - 1, Fraction(2, 3) * t**2 + 1, "t")
+    # A rational argument cannot be built, so it never reaches the resultant.
+    with pytest.raises(TypeError, match="integer coefficient"):
+        resultant(MultiPoly(T, {(0, 2): 1, (0, 0): Fraction(1, 2)}), t - 1, "t")
+    with pytest.raises(TypeError, match="integer coefficient"):
+        resultant(t - 1, MultiPoly(T, {(0, 2): Fraction(2, 3), (0, 0): 1}), "t")
 
 
 def test_non_constant_leading_coefficient_rejected():

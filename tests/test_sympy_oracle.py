@@ -6,7 +6,9 @@ Here one projection of each curve (the first coordinate change at seed 0
 that keeps the centre off the curve and off its Hessian) is checked
 against SymPy: the curve-Hessian resultant term by term, its squarefree
 decomposition factor by factor, and the certified profile, which SymPy
-decides again from its own first subresultant.
+decides again from its own first subresultant.  Curves built in SymPy
+with a node planted by a unimodular change check that each
+``SingularCurveError`` witness kills the form and its three partials.
 """
 
 import random
@@ -26,9 +28,11 @@ from orbitflex.flexlab import (  # noqa: E402
     DEGREE_SHORT,
     INITIAL_BOUND,
     NOT_SEPARATING,
+    SingularCurveError,
     _int_poly,
     _integer_form,
     _profile_once,
+    check_smooth,
     random_unimodular,
 )
 from orbitflex.polyparse import parse_form  # noqa: E402
@@ -116,3 +120,52 @@ def test_random_curve_projection(d, index):
 def test_named_curve_projection(source):
     form, d = parse_form(source)
     assert check_projection(form, d) == NAMED[source]
+
+
+# ----------------------------------------------------------------------
+# Witnesses of singular curves
+# ----------------------------------------------------------------------
+
+XS, YS, ZS = sympy.symbols("x y z")
+
+
+def planted_node_curve(seed):
+    """A curve with a node at M^-1 (0:0:1), built in SymPy: a form with a
+    node at (0:0:1) (a nondegenerate quadratic part in x, y times z^(d-2)
+    and random terms of degree >= 3 in x, y), composed with a random
+    unimodular M = L*U.  Returns the SymPy form and the planted point."""
+    rng = random.Random(seed)
+    d = rng.randint(3, 6)
+
+    def nz():
+        return rng.choice([-3, -2, -1, 1, 2, 3])
+
+    a, c = nz(), nz()
+    form = (a * XS**2 + rng.randint(-3, 3) * XS * YS + c * YS**2) * ZS ** (d - 2)
+    for k in range(3, d + 1):
+        for i in range(k + 1):
+            form += rng.randint(-3, 3) * XS**i * YS ** (k - i) * ZS ** (d - k)
+    lower = sympy.Matrix([[1, 0, 0], [nz(), 1, 0], [nz(), nz(), 1]])
+    upper = sympy.Matrix([[1, nz(), nz()], [0, 1, nz()], [0, 0, 1]])
+    m = lower * upper
+    image = m * sympy.Matrix([XS, YS, ZS])
+    moved = sympy.expand(form.subs(dict(zip((XS, YS, ZS), image)), simultaneous=True))
+    point = tuple(m.inv() * sympy.Matrix([0, 0, 1]))
+    return moved, point
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_singular_curve_witness_is_singular(seed):
+    expr, planted = planted_node_curve(seed)
+    poly = sympy.Poly(expr, XS, YS, ZS)
+    assert all(e.subs(dict(zip((XS, YS, ZS), planted))) == 0
+               for e in (expr, *(sympy.diff(expr, v) for v in (XS, YS, ZS))))
+    form = MultiPoly(("x", "y", "z"), {e: int(c) for e, c in poly.as_dict().items()})
+    with pytest.raises(SingularCurveError) as err:
+        check_smooth(form)
+    witness = err.value.witness
+    assert witness is not None and all(type(c) is int for c in witness)
+    assert any(witness)
+    at = dict(zip((XS, YS, ZS), witness))
+    assert expr.subs(at) == 0
+    assert all(sympy.diff(expr, v).subs(at) == 0 for v in (XS, YS, ZS))
