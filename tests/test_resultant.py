@@ -1,8 +1,15 @@
+import errno
+import importlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from orbitflex import cli
 from orbitflex.exactpoly import (
     MultiPoly,
     ZeroPolynomialError,
@@ -14,6 +21,7 @@ from orbitflex.flexlab import random_unimodular
 
 from helpers import (
     random_homogeneous,
+    random_smooth_curve,
     resultant_at_naturals,
     sylvester_first_subresultant,
     sylvester_matrix,
@@ -246,3 +254,194 @@ def test_three_variables_rejected():
     u, v = (MultiPoly.var(B, n) for n in B)
     f = v + u
     assert resultant(f, f * (v**2 - u), "v").is_zero()
+
+
+# The module, not the function that the package exports under its name.
+RESULTANT = importlib.import_module("orbitflex.exactpoly.resultant")
+CURVE = ("x", "y", "z")
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="the split needs os.fork and os.sched_getaffinity",
+)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Split every call of two or more points, as on a machine with two CPUs."""
+    RESULTANT._stop_helper()
+    monkeypatch.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 2)
+    monkeypatch.setattr(RESULTANT, "_serial", False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    yield
+    RESULTANT._stop_helper()
+
+
+def with_sres1(f: MultiPoly, g: MultiPoly, var: str) -> tuple[dict, dict]:
+    out = []
+    res = resultant(f, g, var, first_subresultant=out)
+    return res.terms, out[0]().terms
+
+
+def serial_with_sres1(monkeypatch, f: MultiPoly, g: MultiPoly, var: str) -> tuple[dict, dict]:
+    with monkeypatch.context() as m:
+        m.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 10**9)
+        return with_sres1(f, g, var)
+
+
+def curve_hessian_pair(form: MultiPoly, rng: random.Random) -> tuple[MultiPoly, MultiPoly]:
+    """The pair a flex projection eliminates y from, after a random
+    unimodular change that puts (0:1:0) off the curve and its Hessian."""
+    while True:
+        g = linear_substitute(form, random_unimodular(rng, 3))
+        h = hessian_determinant(g)
+        if g.evaluate((0, 1, 0)) and h.evaluate((0, 1, 0)):
+            return g.dehomogenize("z"), h.dehomogenize("z")
+
+
+def fermat(d: int) -> MultiPoly:
+    return MultiPoly(CURVE, {(d, 0, 0): 1, (0, d, 0): 1, (0, 0, d): 1})
+
+
+CYCLIC_7 = MultiPoly(CURVE, {(6, 1, 0): 1, (0, 6, 1): 1, (1, 0, 6): 1})
+
+
+@needs_fork
+def test_split_matches_serial(split, monkeypatch):
+    """Resultant and sres_1 are the same term for term whether the points
+    are split with the helper or not, from 2 points to 3d(d-2)+1 at d = 9."""
+    rng = random.Random(53)
+    forms = [random_smooth_curve(rng, d).form for d in range(4, 10)]
+    pairs = rand_pairs(random.Random(37))[:40]
+    pairs += [curve_hessian_pair(form, rng) for form in forms + [fermat(8), fermat(9), CYCLIC_7]]
+    for f, g in pairs:
+        var = f.variables[1]
+        assert with_sres1(f, g, var) == serial_with_sres1(monkeypatch, f, g, var), (f, g)
+        assert RESULTANT._helper is not None
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_exception_in_callers_half_leaves_no_stale_answer(split, monkeypatch, error):
+    rng = random.Random(59)
+    form = random_smooth_curve(rng, 4).form
+    first, second = curve_hessian_pair(form, rng), curve_hessian_pair(form, rng)
+    want = serial_with_sres1(monkeypatch, *first, "y")
+    assert with_sres1(*first, "y") == want
+    assert RESULTANT._helper is not None
+
+    def interrupted(fi, gi, points):
+        raise error("interrupted")
+
+    with monkeypatch.context() as m:
+        m.setattr(RESULTANT, "_values", interrupted)
+        with pytest.raises(error):
+            resultant(*second, "y")  # its odd half was sent to the helper
+    assert RESULTANT._helper is None
+    assert with_sres1(*first, "y") == want
+
+
+@needs_fork
+def test_helper_dying_mid_job_is_replaced_by_serial_values(split, monkeypatch):
+    f, g = curve_hessian_pair(random_smooth_curve(random.Random(61), 5).form, random.Random(61))
+    want = serial_with_sres1(monkeypatch, f, g, "y")
+    assert with_sres1(f, g, "y") == want
+    helper = RESULTANT._helper
+    marshal = RESULTANT.marshal
+
+    def poisoned_job(job):  # points the helper cannot evaluate
+        return marshal.dumps((job[0], job[1], ["not a point"]))
+
+    with monkeypatch.context() as m:
+        m.setattr(RESULTANT, "marshal", SimpleNamespace(dumps=poisoned_job, load=marshal.load))
+        assert with_sres1(f, g, "y") == want
+    assert RESULTANT._helper is None and not RESULTANT._serial
+    with pytest.raises(ChildProcessError):
+        os.waitpid(helper[1], os.WNOHANG)
+
+
+@needs_fork
+def test_dead_helper_makes_the_process_serial(split, monkeypatch):
+    f, g = curve_hessian_pair(random_smooth_curve(random.Random(67), 5).form, random.Random(67))
+    want = serial_with_sres1(monkeypatch, f, g, "y")
+    assert with_sres1(f, g, "y") == want
+    pid = RESULTANT._helper[1]
+    os.kill(pid, 9)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    assert with_sres1(f, g, "y") == want  # the job write broke the pipe
+    assert RESULTANT._helper is None and RESULTANT._serial
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+@needs_fork
+def test_fork_failure_falls_back_to_serial_with_identical_output(split, monkeypatch, capsys):
+    argv = ["--json", "flexes", "x^8 + y^8 + z^8"]
+    with monkeypatch.context() as m:
+        m.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 10**9)
+        assert cli.main(argv) == 0
+    want = capsys.readouterr()
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == want
+    assert RESULTANT._serial and RESULTANT._helper is None
+
+
+def test_one_cpu_never_forks(monkeypatch):
+    RESULTANT._stop_helper()
+    monkeypatch.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def forbidden():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", forbidden, raising=False)
+    f, g = curve_hessian_pair(fermat(7), random.Random(71))
+    assert resultant(f, g, "y").total_degree() == 3 * 7 * 5
+    assert RESULTANT._helper is None
+
+
+@needs_fork
+def test_forked_copy_never_uses_its_parents_helper(split, monkeypatch):
+    f, g = curve_hessian_pair(random_smooth_curve(random.Random(73), 4).form, random.Random(73))
+    want = serial_with_sres1(monkeypatch, f, g, "y")
+    assert with_sres1(f, g, "y") == want
+    helper = RESULTANT._helper
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            ok = with_sres1(f, g, "y") == want and RESULTANT._helper[0] == os.getpid()
+            RESULTANT._stop_helper()
+            code = 0 if ok else 1
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert RESULTANT._helper is helper
+    assert with_sres1(f, g, "y") == want
+
+
+@needs_fork
+def test_stopping_the_helper_reaps_it(split):
+    resultant(*curve_hessian_pair(fermat(4), random.Random(79)), "y")
+    pid = RESULTANT._helper[1]
+    RESULTANT._stop_helper()  # the atexit handler
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+
+
+def test_fresh_process_leaves_no_helper_behind():
+    # A helper still running would hold the captured stdout open, and the
+    # call would time out instead of returning.
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitflex", "flexes", "x^8 + y^8 + z^8"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("curve degree: 8\n")
+    assert proc.stderr == ""
