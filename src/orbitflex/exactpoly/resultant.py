@@ -22,31 +22,28 @@ have integer coefficients and a nonzero constant top coefficient in
 All arithmetic is on Python integers, and identical inputs give identical
 term maps.
 
-The points are independent.  When a call has at least PARALLEL_MIN_POINTS
-of them (the flex resultant from degree 7 on) and the process may run on
-two CPUs, one helper process, forked on first use and fed through two
-pipes in ``marshal`` format, computes the odd-indexed points while the
-caller computes the even-indexed ones; interpolation stays in the caller,
-so the output does not depend on the split.  Each job is answered before
-the next is sent: any exception in between tears the helper down, so no
-stale answer is left in a pipe.  An OSError from fork, pipe or write makes
-the process serial; a dead helper's points are computed by the caller.
+The points are independent.  A call with at least PARALLEL_MIN_POINTS of
+them (the flex resultant from degree 7 on), in a process with one thread
+and two CPUs, forks a child for that call alone: it sends the odd-indexed
+points' values back through a pipe in ``marshal`` format while the caller
+computes the even-indexed ones, and is reaped (killed first if the caller
+raises) before the call returns.  Interpolation stays in the caller, so
+the output does not depend on the split.
 """
 
 from __future__ import annotations
 
-import atexit
 import marshal
 import os
-from contextlib import suppress
+import threading
 from functools import partial
 from math import factorial
-from typing import BinaryIO, Callable, Sequence
+from typing import Callable, Sequence
 
 from .multipoly import MultiPoly
 from .unipoly import IntPoly, ZeroPolynomialError, _deg, _pseudo_rem, _trim
 
-# Fewest evaluation points for which a call is split with the helper.
+# Fewest evaluation points for which a call is split with a child process.
 PARALLEL_MIN_POINTS = 100
 
 
@@ -119,88 +116,49 @@ def _values(fi: list[IntPoly], gi: list[IntPoly], points: list[int]) -> list[tup
     ]
 
 
-# (owner pid, helper pid, job pipe, answer pipe) of the running helper.
-_helper: tuple[int, int, BinaryIO, BinaryIO] | None = None
-_serial = not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+_CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
 
 
-def _point_values(
-    fi: list[IntPoly], gi: list[IntPoly], points: list[int]
-) -> list[tuple[int, int]]:
+def _point_values(fi: list[IntPoly], gi: list[IntPoly], points: list[int]) -> list[tuple[int, int]]:
     """``_values``, with the odd-indexed points of a large call computed by
-    the helper while this process computes the even-indexed ones."""
-    global _serial
-    if len(points) < PARALLEL_MIN_POINTS or _serial or len(os.sched_getaffinity(0)) < 2:
+    a forked child; if the fork fails or the child dies, by the caller."""
+    if (
+        len(points) < PARALLEL_MIN_POINTS
+        or not _CAN_FORK
+        or threading.active_count() > 1  # forking a threaded process can deadlock
+        or len(os.sched_getaffinity(0)) < 2
+    ):
         return _values(fi, gi, points)
     values = [(0, 0)] * len(points)
+    fds: tuple[int, ...] = ()
     try:
+        fds = answers_in, answers_out = os.pipe()
+        pid = os.fork()
+    except OSError:  # such as EAGAIN from fork
+        for fd in fds:
+            os.close(fd)
+        return _values(fi, gi, points)
+    if pid == 0:
         try:
-            jobs, answers = _running_helper()
-            jobs.write(marshal.dumps((fi, gi, points[1::2])))
-            jobs.flush()
-        except OSError:  # such as EAGAIN from fork or a broken pipe
-            _serial = True
-            _stop_helper()
-            return _values(fi, gi, points)
-        values[::2] = _values(fi, gi, points[::2])
-        try:
-            values[1::2] = marshal.load(answers)
-        except EOFError:  # the helper died
-            _stop_helper()
-            values[1::2] = _values(fi, gi, points[1::2])
-    except BaseException:
-        _stop_helper()
-        raise
-    return values
-
-
-def _running_helper() -> tuple[BinaryIO, BinaryIO]:
-    """The job and answer pipes of this process's helper, forked on first
-    use; the child answers each job with its ``_values`` until EOF."""
-    global _helper
-    if _helper is not None and _helper[0] != os.getpid():
-        _stop_helper()  # inherited across a fork
-    if _helper is None:
-        fds: list[int] = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError:
-            for fd in fds:
-                os.close(fd)
-            raise
-        jobs_in, jobs_out, answers_in, answers_out = fds
-        if pid == 0:
-            try:
-                os.close(jobs_out)
-                os.close(answers_in)
-                with open(jobs_in, "rb") as jobs, open(answers_out, "wb") as answers:
-                    with suppress(EOFError):
-                        while True:
-                            marshal.dump(_values(*marshal.load(jobs)), answers)
-                            answers.flush()
-            finally:
-                os._exit(0)
-        os.close(jobs_in)
+            os.close(answers_in)
+            with open(answers_out, "wb") as answers:
+                marshal.dump(_values(fi, gi, points[1::2]), answers)
+        finally:
+            os._exit(0)
+    try:
         os.close(answers_out)
-        _helper = (os.getpid(), pid, open(jobs_out, "wb"), open(answers_in, "rb"))
-    return _helper[2], _helper[3]
-
-
-@atexit.register
-def _stop_helper() -> None:
-    """Close the pipes to the helper, which ends it, and reap it; a forked
-    copy of its owner only closes the pipes it inherited."""
-    global _helper
-    if _helper is not None:
-        owner, pid, jobs, answers = _helper
-        _helper = None
-        for pipe in (answers, jobs):
-            with suppress(OSError):
-                pipe.close()
-        if owner == os.getpid():
-            os.waitpid(pid, 0)
+        with open(answers_in, "rb") as answers:
+            values[::2] = _values(fi, gi, points[::2])
+            try:
+                values[1::2] = marshal.load(answers)
+            except EOFError:  # the child died
+                values[1::2] = _values(fi, gi, points[1::2])
+    except BaseException:
+        os.kill(pid, 9)  # SIGKILL: the child's half may take seconds
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    return values
 
 
 def _horner(coeffs: Sequence[int], t: int) -> int:

@@ -4,8 +4,9 @@ import os
 import random
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,8 @@ from orbitflex.exactpoly import (
     linear_substitute,
     resultant,
 )
-from orbitflex.flexlab import random_unimodular
+from orbitflex.flexlab import check_smooth, flex_profile, random_unimodular
+from orbitflex.polyparse import parse_form
 
 from helpers import (
     random_homogeneous,
@@ -267,13 +269,28 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture
 def split(monkeypatch):
-    """Split every call of two or more points, as on a machine with two CPUs."""
-    RESULTANT._stop_helper()
+    """Split every call of two or more points, as on a machine with two
+    CPUs; yields the pids of the children forked so far."""
     monkeypatch.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 2)
-    monkeypatch.setattr(RESULTANT, "_serial", False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    yield
-    RESULTANT._stop_helper()
+    children = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield children
+    assert_reaped(children)
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def with_sres1(f: MultiPoly, g: MultiPoly, var: str) -> tuple[dict, dict]:
@@ -308,69 +325,59 @@ CYCLIC_7 = MultiPoly(CURVE, {(6, 1, 0): 1, (0, 6, 1): 1, (1, 0, 6): 1})
 @needs_fork
 def test_split_matches_serial(split, monkeypatch):
     """Resultant and sres_1 are the same term for term whether the points
-    are split with the helper or not, from 2 points to 3d(d-2)+1 at d = 9."""
+    are split with a child or not, from 2 points to 3d(d-2)+1 at d = 9."""
     rng = random.Random(53)
     forms = [random_smooth_curve(rng, d).form for d in range(4, 10)]
     pairs = rand_pairs(random.Random(37))[:40]
     pairs += [curve_hessian_pair(form, rng) for form in forms + [fermat(8), fermat(9), CYCLIC_7]]
     for f, g in pairs:
         var = f.variables[1]
+        forks = len(split)
         assert with_sres1(f, g, var) == serial_with_sres1(monkeypatch, f, g, var), (f, g)
-        assert RESULTANT._helper is not None
+        assert len(split) == forks + 1  # one child, which R and sres_1 share
+        assert_reaped(split)
 
 
 @needs_fork
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_exception_in_callers_half_leaves_no_stale_answer(split, monkeypatch, error):
+def test_exception_in_callers_half_kills_the_child_at_once(split, monkeypatch, error):
     rng = random.Random(59)
-    form = random_smooth_curve(rng, 4).form
-    first, second = curve_hessian_pair(form, rng), curve_hessian_pair(form, rng)
-    want = serial_with_sres1(monkeypatch, *first, "y")
-    assert with_sres1(*first, "y") == want
-    assert RESULTANT._helper is not None
+    f, g = curve_hessian_pair(random_smooth_curve(rng, 4).form, rng)
+    want = serial_with_sres1(monkeypatch, f, g, "y")
+    owner = os.getpid()
 
     def interrupted(fi, gi, points):
+        if os.getpid() != owner:
+            time.sleep(60)  # a child's half that would take a minute
         raise error("interrupted")
 
     with monkeypatch.context() as m:
         m.setattr(RESULTANT, "_values", interrupted)
+        forks, start = len(split), time.monotonic()
         with pytest.raises(error):
-            resultant(*second, "y")  # its odd half was sent to the helper
-    assert RESULTANT._helper is None
-    assert with_sres1(*first, "y") == want
+            resultant(f, g, "y")
+        assert time.monotonic() - start < 10
+    assert len(split) == forks + 1
+    assert_reaped(split)
+    assert with_sres1(f, g, "y") == want
 
 
 @needs_fork
-def test_helper_dying_mid_job_is_replaced_by_serial_values(split, monkeypatch):
-    f, g = curve_hessian_pair(random_smooth_curve(random.Random(61), 5).form, random.Random(61))
+def test_child_dying_mid_job_is_replaced_by_serial_values(split, monkeypatch):
+    rng = random.Random(61)
+    f, g = curve_hessian_pair(random_smooth_curve(rng, 5).form, rng)
     want = serial_with_sres1(monkeypatch, f, g, "y")
+    owner, values = os.getpid(), RESULTANT._values
+
+    def dying_child(fi, gi, points):
+        if os.getpid() != owner:
+            os._exit(1)
+        return values(fi, gi, points)
+
+    monkeypatch.setattr(RESULTANT, "_values", dying_child)
+    forks = len(split)
     assert with_sres1(f, g, "y") == want
-    helper = RESULTANT._helper
-    marshal = RESULTANT.marshal
-
-    def poisoned_job(job):  # points the helper cannot evaluate
-        return marshal.dumps((job[0], job[1], ["not a point"]))
-
-    with monkeypatch.context() as m:
-        m.setattr(RESULTANT, "marshal", SimpleNamespace(dumps=poisoned_job, load=marshal.load))
-        assert with_sres1(f, g, "y") == want
-    assert RESULTANT._helper is None and not RESULTANT._serial
-    with pytest.raises(ChildProcessError):
-        os.waitpid(helper[1], os.WNOHANG)
-
-
-@needs_fork
-def test_dead_helper_makes_the_process_serial(split, monkeypatch):
-    f, g = curve_hessian_pair(random_smooth_curve(random.Random(67), 5).form, random.Random(67))
-    want = serial_with_sres1(monkeypatch, f, g, "y")
-    assert with_sres1(f, g, "y") == want
-    pid = RESULTANT._helper[1]
-    os.kill(pid, 9)
-    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
-    assert with_sres1(f, g, "y") == want  # the job write broke the pipe
-    assert RESULTANT._helper is None and RESULTANT._serial
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pid, os.WNOHANG)
+    assert len(split) == forks + 1
 
 
 @needs_fork
@@ -380,18 +387,19 @@ def test_fork_failure_falls_back_to_serial_with_identical_output(split, monkeypa
         m.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 10**9)
         assert cli.main(argv) == 0
     want = capsys.readouterr()
+    failed = []
 
     def no_fork():
+        failed.append(1)
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert cli.main(argv) == 0
     assert capsys.readouterr() == want
-    assert RESULTANT._serial and RESULTANT._helper is None
+    assert failed
 
 
 def test_one_cpu_never_forks(monkeypatch):
-    RESULTANT._stop_helper()
     monkeypatch.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
@@ -401,40 +409,27 @@ def test_one_cpu_never_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", forbidden, raising=False)
     f, g = curve_hessian_pair(fermat(7), random.Random(71))
     assert resultant(f, g, "y").total_degree() == 3 * 7 * 5
-    assert RESULTANT._helper is None
 
 
 @needs_fork
-def test_forked_copy_never_uses_its_parents_helper(split, monkeypatch):
-    f, g = curve_hessian_pair(random_smooth_curve(random.Random(73), 4).form, random.Random(73))
-    want = serial_with_sres1(monkeypatch, f, g, "y")
-    assert with_sres1(f, g, "y") == want
-    helper = RESULTANT._helper
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            ok = with_sres1(f, g, "y") == want and RESULTANT._helper[0] == os.getpid()
-            RESULTANT._stop_helper()
-            code = 0 if ok else 1
-        finally:
-            os._exit(code)
-    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-    assert RESULTANT._helper is helper
-    assert with_sres1(f, g, "y") == want
+def test_profiles_on_several_threads_never_fork(split, monkeypatch):
+    """Flex profiles of degree-7 curves, whose resultants are split on the
+    main thread, agree when run on threads, where no call forks."""
+    sources = ["x^7 + y^7 + z^7", "x^6*y + y^6*z + z^6*x", "x^7 + y^7 + z^7 + x^3*y^2*z^2"]
+    curves = [check_smooth(parse_form(src)[0]) for src in sources]
+    sequential = [flex_profile(c, seed=4) for c in curves]
+    assert split
+
+    def forbidden():
+        raise AssertionError("forked with several threads running")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        assert list(pool.map(lambda c: flex_profile(c, seed=4), curves)) == sequential
 
 
-@needs_fork
-def test_stopping_the_helper_reaps_it(split):
-    resultant(*curve_hessian_pair(fermat(4), random.Random(79)), "y")
-    pid = RESULTANT._helper[1]
-    RESULTANT._stop_helper()  # the atexit handler
-    with pytest.raises(ChildProcessError):
-        os.waitpid(pid, os.WNOHANG)
-
-
-def test_fresh_process_leaves_no_helper_behind():
-    # A helper still running would hold the captured stdout open, and the
+def test_fresh_process_leaves_no_child_behind():
+    # A child still running would hold the captured stdout open, and the
     # call would time out instead of returning.
     proc = subprocess.run(
         [sys.executable, "-m", "orbitflex", "flexes", "x^8 + y^8 + z^8"],
