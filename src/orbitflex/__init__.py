@@ -5,7 +5,7 @@ plane curve of degree d >= 3 and the predegree/degree of its orbit
 closure under the projective linear group, by three mutually checking
 routes: closed-form formulas, a per-blow-up correction summation, and a
 symbolic Chow-ring engine that derives the correction integrals from
-truncated graded-ring expansions and pushforward tables.
+truncated graded-ring expansions and push-downs along P^1-bundles.
 """
 
 from .chowcalc import correction_integral, verify_identities

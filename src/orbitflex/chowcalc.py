@@ -26,7 +26,7 @@ dual plane x curve (k^3 = h^2 = 0, k^2*h evaluates to d) or on a plane
 (k^3 = h = 0, k^2 evaluates to 1).  The exceptional class restricts to
 c1(O(-1)) on each fiber, so its i-th power pushes down to
 (-1)^i s_{i-1}(E), with s(E) = 1/c(E) the Segre class (Fulton,
-*Intersection Theory*, 3.1-3.2): each table is derived from c(E) alone.
+*Intersection Theory*, 3.1-3.2): each image is derived from c(E) alone.
 
 Four centers occur.  Their dimensions, point-condition pullbacks,
 normal-bundle Chern classes and the classes c(E) of the bundles pushed
@@ -67,8 +67,7 @@ the closed form P(d); both are part of the identity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exactpoly import MultiPoly
 from .orbitformulas import (
@@ -147,11 +146,6 @@ class GradedClass(MultiPoly):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "GradedClass":
-        if isinstance(n, int) and n < 0:
-            return self.inverse() ** (-n)
-        return super().__pow__(n)
-
     def inverse(self) -> "GradedClass":
         """Reciprocal by geometric series; requires constant term 1."""
         constant = self.graded_part(0)
@@ -174,7 +168,7 @@ class GradedClass(MultiPoly):
 
 
 # ----------------------------------------------------------------------
-# Bases and pushforward tables
+# Bases, push-downs and the four centers
 # ----------------------------------------------------------------------
 
 
@@ -206,106 +200,60 @@ class _Base(NamedTuple):
 _DUAL_PLANE_X_CURVE = _Base(2, 1, 1)  # k^3 = h^2 = 0; k^2*h evaluates to d
 _PLANE = _Base(2, 0, 0)  # k^3 = h = 0; k^2 evaluates to 1
 
-_evaluate_on_base = _DUAL_PLANE_X_CURVE.integrate
-_evaluate_on_plane = _PLANE.integrate
+
+def _push_down(cls: GradedClass, fiber: str, chern: GradedClass, base: _Base) -> GradedClass:
+    """Push a class down the P^1-bundle P(E) -> ``base`` whose fiber class
+    is the generator ``fiber`` and whose c(E) is ``chern``: fiber^i goes to
+    (-1)^i s_{i-1}(E), with s(E) = 1/c(E) reduced by the base relations,
+    and base factors pass through unchanged (projection formula)."""
+    segre = base.reduce(chern.inverse())
+    images = [GradedClass.zero(VARIABLES)]
+    images += [(-1) ** i * segre.graded_part(i - 1) for i in range(1, TOP_DEGREE + 1)]
+    at = GENERATORS.index(fiber)
+    out = GradedClass.zero(VARIABLES)
+    for mono, coeff in cls.terms.items():
+        rest = mono[:at] + (0,) + mono[at + 1 :]
+        out = out + GradedClass(VARIABLES, {rest: coeff}) * images[mono[at]]
+    return out
 
 
-@dataclass(frozen=True)
-class PushforwardTable:
-    """Substitution of powers of one fiber class by base classes.
+class Center(NamedTuple):
+    """Intersection-theoretic data of one blow-up center: a class on it is
+    integrated by pushing it down each (fiber, c(E), base) of ``bundles``
+    in order and then integrating over ``base``."""
 
-    ``fiber`` is the index of the fiber generator in (k, h, e, f);
-    ``images`` lists the image of fiber^i at position i.  Base factors of
-    a monomial multiply the image unchanged (projection formula).
-    """
-
-    name: str
-    fiber: int
-    images: tuple[GradedClass, ...]
-
-    @classmethod
-    def from_chern(
-        cls, name: str, fiber: str, chern: GradedClass, base: _Base
-    ) -> "PushforwardTable":
-        """The table of a P^1-bundle P(E) over ``base``, from c(E): fiber^i
-        goes to (-1)^i s_{i-1}(E), with s(E) = 1/c(E) reduced by the base
-        relations."""
-        segre = base.reduce(chern.inverse())
-        images = [GradedClass.zero(VARIABLES)]
-        images += [(-1) ** i * segre.graded_part(i - 1) for i in range(1, TOP_DEGREE + 1)]
-        return cls(name, GENERATORS.index(fiber), tuple(images))
-
-    def apply(self, cls: GradedClass) -> GradedClass:
-        out = GradedClass.zero(VARIABLES)
-        for mono, coeff in cls.terms.items():
-            i = mono[self.fiber]
-            if i >= len(self.images):
-                raise ValueError(f"no pushforward image for fiber power {i} in table {self.name}")
-            base = mono[: self.fiber] + (0,) + mono[self.fiber + 1 :]
-            out = out + GradedClass(VARIABLES, {base: coeff}) * self.images[i]
-        return out
-
-
-def _stage_table(stage: str) -> PushforwardTable:
-    """The one fiber-class substitution of a stage, from the c(E) column
-    of the module docstring."""
-    d, k, h, e = (variable(v) for v in "dkhe")
-    if stage == "second":
-        chern = 1 + 3 * k - (2 * d - 6) * h + 3 * k**2 - (3 * d - 9) * k * h
-        return PushforwardTable.from_chern("first-directions", "e", chern, _DUAL_PLANE_X_CURVE)
-    if stage == "flex":
-        return PushforwardTable.from_chern("flex-plane", "e", 1 + 3 * k + 3 * k**2, _PLANE)
-    if stage == "higher":
-        # The level below lies over a plane, so the plane's relations hold there.
-        return PushforwardTable.from_chern("higher-levels", "f", 1 + e, _PLANE)
-    raise ValueError(f"no single pushforward table for stage {stage!r}")
-
-
-# ----------------------------------------------------------------------
-# The four centers
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CenterSpec:
-    """Intersection-theoretic data of one blow-up center.
-
-    A class on the center is integrated by applying ``tables`` in order
-    and then ``evaluate`` on the final base.
-    """
-
-    name: str
     dim: int
     point_class: GradedClass
     normal_chern: GradedClass
-    tables: tuple[PushforwardTable, ...]
-    evaluate: Callable[[GradedClass], MultiPoly]
+    bundles: tuple[tuple[str, GradedClass, _Base], ...]
+    base: _Base
 
     def integrate(self, cls: GradedClass) -> MultiPoly:
-        for table in self.tables:
-            cls = table.apply(cls)
-        return self.evaluate(cls)
+        for bundle in self.bundles:
+            cls = _push_down(cls, *bundle)
+        return self.base.integrate(cls)
 
 
-def _center_spec(name: str) -> CenterSpec:
+def _center(name: str) -> Center:
     """Build the data of one center, as tabulated in the module docstring."""
     k, h, e, f, d, j = (variable(v) for v in VARIABLES)
+    plane_tangent = ("e", 1 + 3 * k + 3 * k**2, _PLANE)
     if name == "first":
         chern = (1 + k + h) ** 9 * (1 + d * h) / ((1 + k) ** 3 * (1 + h) ** 3)
-        return CenterSpec(name, 3, d * k + d * h, chern, (), _evaluate_on_base)
+        return Center(3, d * k + d * h, chern, (), _DUAL_PLANE_X_CURVE)
     if name == "second":
+        directions = 1 + 3 * k - (2 * d - 6) * h + 3 * k**2 - (3 * d - 9) * k * h
         chern = (1 + e) * (1 + k + d * h - e) ** 3
-        tables = (_stage_table("second"),)
-        return CenterSpec(name, 4, d * k + d * h - e, chern, tables, _evaluate_on_base)
+        bundles = (("e", directions, _DUAL_PLANE_X_CURVE),)
+        return Center(4, d * k + d * h - e, chern, bundles, _DUAL_PLANE_X_CURVE)
     if name == "flex":
         chern = (1 + e) * (1 + k - 2 * e) ** 3
-        tables = (_stage_table("flex"),)
-        return CenterSpec(name, 3, d * k - 2 * e, chern, tables, _evaluate_on_plane)
+        return Center(3, d * k - 2 * e, chern, (plane_tangent,), _PLANE)
     if name == "higher":
         point = d * k - 2 * e - (j - 2) * f
         chern = (1 + f) * (1 + k - 2 * e - (j - 2) * f) ** 3
-        tables = (_stage_table("higher"), _stage_table("flex"))
-        return CenterSpec(name, 4, point, chern, tables, _evaluate_on_plane)
+        # The level below lies over a plane, so the plane's relations hold there.
+        return Center(4, point, chern, (("f", 1 + e, _PLANE), plane_tangent), _PLANE)
     raise KeyError(name)
 
 
@@ -315,9 +263,9 @@ def correction_integral(stage_name: str) -> MultiPoly:
     Only the "higher" stage actually involves j; the others return
     polynomials in d alone.
     """
-    stage = _center_spec(stage_name)
-    integrand = (1 + stage.point_class) ** 8 / stage.normal_chern
-    return stage.integrate(integrand.graded_part(stage.dim))
+    center = _center(stage_name)
+    integrand = (1 + center.point_class) ** 8 / center.normal_chern
+    return center.integrate(integrand.graded_part(center.dim))
 
 
 # ----------------------------------------------------------------------

@@ -29,11 +29,9 @@ import sys
 from typing import Sequence
 
 from . import chowcalc, orbitformulas
-from .exactpoly import NonHomogeneousError, format_factorization
-from .exactpoly.unipoly import ZeroPolynomialError
+from .exactpoly import format_factorization
 from .flexlab import (
     FlexProfile,
-    GenericityFailureError,
     SingularCurveError,
     check_smooth,
     f_sums,
@@ -280,13 +278,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        NonHomogeneousError,
-        ZeroPolynomialError,
-        SingularCurveError,
-        OSError,
-    ) as exc:
+    except (SingularCurveError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
@@ -295,7 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_INCONSISTENT
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GenericityFailureError, _Inconsistent, RuntimeError) as exc:
+    except (_Inconsistent, RuntimeError) as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
 

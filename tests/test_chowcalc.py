@@ -7,12 +7,9 @@ from orbitflex.chowcalc import (
     VARIABLES,
     GradedClass,
     NonUnitDenominatorError,
-    PushforwardTable,
-    _center_spec,
-    _evaluate_on_base,
-    _evaluate_on_plane,
+    _center,
+    _push_down,
     _simple_flex_assembly,
-    _stage_table,
     correction_integral,
     variable,
     verify_identities,
@@ -56,7 +53,7 @@ def test_unit_inverse_property_random():
         for g in basis:
             u = u + rng.randint(-3, 3) * g
         u = u + rng.randint(-2, 2) * k * h + rng.randint(-2, 2) * e * f
-        assert u * u**-1 == one
+        assert u * u.inverse() == one
 
 
 def test_non_unit_denominator_rejected():
@@ -137,13 +134,19 @@ def test_inherited_operations_keep_plain_multipoly():
 
 
 # ----------------------------------------------------------------------
-# Pushforward tables
+# Push-downs
 # ----------------------------------------------------------------------
 
 
+def push(stage, cls):
+    """Push a class down the first bundle of a center: e for "second" and
+    "flex", f for "higher"."""
+    return _push_down(cls, *_center(stage).bundles[0])
+
+
 def hand_written_images():
-    """The pushforward images as tabulated by hand, before the tables were
-    derived from Segre classes: the oracle for the derived tables."""
+    """The pushforward images as tabulated by hand, before they were
+    derived from Segre classes: the oracle for the derived push-downs."""
     one, k, h, e, f = gens()
     d = variable("d")
     zero = GradedClass.zero(VARIABLES)
@@ -162,41 +165,40 @@ def hand_written_images():
 
 def test_derived_images_match_hand_written_tables():
     for stage, images in hand_written_images().items():
-        derived = _stage_table(stage).images
-        assert len(derived) == TOP_DEGREE + 1
-        assert derived[: len(images)] == images
+        fiber = variable(_center(stage).bundles[0][0])
+        derived = [push(stage, fiber**i) for i in range(TOP_DEGREE + 1)]
+        assert derived[: len(images)] == list(images)
         assert all(image.is_zero() for image in derived[len(images) :])
 
 
 def test_pushforward_e_squared_second_stage():
     one, k, h, e, f = gens()
     d = variable("d")
-    assert _stage_table("second").apply(e**2) == -3 * k + (2 * d - 6) * h
+    assert push("second", e**2) == -3 * k + (2 * d - 6) * h
 
 
 def test_pushforward_projection_formula_example():
     one, k, h, e, f = gens()
-    assert _stage_table("second").apply(k * e) == -k
+    assert push("second", k * e) == -k
 
 
 def test_pushforward_f_squared_higher_stage():
     one, k, h, e, f = gens()
-    assert _stage_table("higher").apply(f**2) == -e
+    assert push("higher", f**2) == -e
 
 
 def test_pushforward_unit_is_zero_on_every_stage():
     for stage in ("second", "flex", "higher"):
         one = GradedClass.const(VARIABLES, 1)
-        assert _stage_table(stage).apply(one).is_zero()
+        assert push(stage, one).is_zero()
 
 
 def test_pushforward_linear_over_base_classes():
     rng = random.Random(71)
     one, k, h, e, f = gens()
-    second = _stage_table("second")
     for i in range(5):
         base = k ** rng.randint(0, 2) * h ** rng.randint(0, 1)
-        assert second.apply(base * e**i) == base * second.apply(e**i)
+        assert push("second", base * e**i) == base * push("second", e**i)
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +291,7 @@ def test_expand_truncated_reproduces_first_integrand():
         * (one + h) ** 3
         / ((one + k + h) ** 9 * (one + d * h))
     )
-    integral = _center_spec("first").integrate(expr.graded_part(3))
+    integral = _center("first").integrate(expr.graded_part(3))
     assert integral == correction_integral("first")
 
 
@@ -349,31 +351,38 @@ def test_import_builds_no_class():
 
 def test_identity_checks_have_teeth():
     # A corrupted pushforward image must change the derived integral: the
-    # verification is sensitive to the table data, not vacuously true.
+    # verification is sensitive to the push-down data, not vacuously true.
     one, k, h, e, f = gens()
     good = correction_integral("flex")
-    bad_table = PushforwardTable(
-        name="flex-plane-corrupted",
-        fiber=2,
-        images=(
-            GradedClass.zero(VARIABLES),
-            -one,
-            -3 * k,
-            -5 * (k**2),  # true image is -6*k^2
-        ),
-    )
-    stage = _center_spec("flex")
+    stage = _center("flex")
+    fiber, chern, base = stage.bundles[0]
+    bad_chern = chern + k**2  # c2 = 4 sends e^3 to -5*k^2; the true image is -6*k^2
+    assert _push_down(e**3, fiber, bad_chern, base) == -5 * k**2
+    assert all(_push_down(e**i, fiber, bad_chern, base) == push("flex", e**i) for i in range(3))
     integrand = ((one + stage.point_class) ** 8 / stage.normal_chern).graded_part(3)
     assert stage.integrate(integrand) == good
-    corrupted = _evaluate_on_plane(bad_table.apply(integrand))
+    corrupted = stage._replace(bundles=((fiber, bad_chern, base),)).integrate(integrand)
     assert corrupted != good
 
 
 def test_corrupted_point_class_changes_integral():
     one, k, h, e, f = gens()
-    stage = _center_spec("first")
+    stage = _center("first")
     d = variable("d")
     wrong_point = d * k + (d - 1) * h
     integrand = (one + wrong_point) ** 8 / stage.normal_chern
-    corrupted = _evaluate_on_base(integrand.graded_part(3))
+    corrupted = stage.integrate(integrand.graded_part(3))
     assert corrupted != correction_integral("first")
+
+
+def test_unknown_center_rejected():
+    with pytest.raises(KeyError):
+        correction_integral("fifth")
+
+
+def test_integrating_a_class_of_the_wrong_dimension_rejected():
+    one, k, h, e, f = gens()
+    with pytest.raises(ValueError, match="cannot integrate"):
+        _center("first").integrate(k)
+    with pytest.raises(ValueError, match="cannot integrate"):
+        _center("flex").integrate(e)
