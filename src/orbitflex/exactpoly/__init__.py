@@ -2,9 +2,10 @@
 
 The computational substrate for the rest of the package: sparse
 multivariate polynomials with Python integer coefficients, dense integer
-univariate polynomials with gcd and squarefree machinery, resultants of
-bivariate polynomials (subresultant remainder sequences at integer
-points, then integer interpolation), and integer factorization.
+univariate polynomials with gcd, squarefree and rational-root
+(``rational_roots``) machinery, resultants of bivariate polynomials
+(subresultant remainder sequences at integer points, then integer
+interpolation), and integer factorization.
 Everything here is exact; nothing rounds, ever.  A coefficient that is
 not an integer raises ``TypeError``, and ``resultant`` needs a nonzero
 constant top coefficient in the eliminated variable.
@@ -22,8 +23,8 @@ from .multipoly import (
     hessian_determinant,
     linear_substitute,
 )
-from .resultant import resultant
-from .unipoly import IntPoly, ZeroPolynomialError, gcd, squarefree_decompose
+from .resultant import prs_subresultants, resultant
+from .unipoly import IntPoly, ZeroPolynomialError, gcd, rational_roots, squarefree_decompose
 
 __all__ = [
     "IntPoly",
@@ -41,6 +42,8 @@ __all__ = [
     "hessian_determinant",
     "is_prime",
     "linear_substitute",
+    "prs_subresultants",
+    "rational_roots",
     "resultant",
     "squarefree_decompose",
 ]

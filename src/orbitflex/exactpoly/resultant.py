@@ -111,7 +111,7 @@ def _from_values(values: Sequence[int], variables: tuple[str, ...]) -> MultiPoly
 def _values(fi: list[IntPoly], gi: list[IntPoly], points: list[int]) -> list[tuple[int, int]]:
     """(Res, sres_1) of the specialisations of fi and gi at each point."""
     return [
-        _prs_subresultants([_horner(c, t) for c in fi], [_horner(c, t) for c in gi])
+        prs_subresultants([_horner(c, t) for c in fi], [_horner(c, t) for c in gi])
         for t in points
     ]
 
@@ -168,7 +168,7 @@ def _horner(coeffs: Sequence[int], t: int) -> int:
     return acc
 
 
-def _prs_subresultants(a: IntPoly, b: IntPoly) -> tuple[int, int]:
+def prs_subresultants(a: IntPoly, b: IntPoly) -> tuple[int, int]:
     """(Res(a, b), sres_1(a, b)) of integer polynomials of positive degree,
     by the subresultant PRS.
 

@@ -12,12 +12,16 @@ The gcd of integer polynomials is the heuristic gcd GCDHEU (Char, Geddes
 integers at a power of two, one big-integer gcd is taken, and its digits
 are accepted once they divide both inputs.  Squarefree decomposition is
 the derivative-gcd recursion of Yun, valid in characteristic zero.
+``rational_roots`` finds the rational roots without factoring any
+coefficient, by Hensel lifting simple roots modulo a small prime.
 """
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import count, zip_longest
 from math import gcd as int_gcd
+
+from .intfactor import is_prime
 
 IntPoly = list[int]  # dense, lowest degree first, no trailing zeros
 
@@ -215,3 +219,47 @@ def squarefree_decompose(f: IntPoly) -> list[tuple[int, IntPoly]]:
         d = _sub(d, _derivative(c))
         i += 1
     return out
+
+
+def rational_roots(p: IntPoly) -> list[tuple[int, int]]:
+    """All rational roots a/q of a nonzero integer polynomial, in lowest
+    terms with q > 0, as pairs (a, q) in increasing order of a/q, found
+    without factoring any coefficient.
+
+    A root a/q of the squarefree part s, in lowest terms, makes lc*a/q an
+    integer of size at most |lc*c|, c the lowest nonzero coefficient.  Each
+    such root is a simple root modulo a prime that divides neither lc nor s'
+    at a root of s; it is Hensel-lifted until the modulus exceeds 2|lc*c|,
+    and lc*root, balanced and divided by lc, is kept when q*x - a divides s,
+    which by Gauss's lemma is exactly when s(a/q) = 0.
+    """
+    s = _divexact(p, gcd(p, _derivative(p)))
+    if s[-1] < 0:
+        s = [-c for c in s]
+    ds = _derivative(s)
+    lead = s[-1]
+    for prime in (n for n in count(2) if lead % n and is_prime(n)):
+        residues = [r for r in range(prime) if _value_mod(s, r, prime) == 0]
+        if all(_value_mod(ds, r, prime) for r in residues):
+            break
+    bound = 2 * abs(lead * next(c for c in s if c))
+    roots = []
+    for r in residues:
+        m = prime
+        while m <= bound:
+            m *= m
+            r = (r - _value_mod(s, r, m) * pow(_value_mod(ds, r, m), -1, m)) % m
+        n = lead * r % m
+        n = n - m if 2 * n > m else n
+        g = int_gcd(n, lead)
+        a, q = n // g, lead // g
+        if _divides([-a, q], s):
+            roots.append((a, q))
+    return sorted(roots, key=lambda root: root[0] * lead // root[1])  # lc * root, lc > 0
+
+
+def _value_mod(p: IntPoly, x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(p):
+        acc = (acc * x + c) % m
+    return acc

@@ -36,7 +36,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from math import gcd as int_gcd
 from math import lcm
 from typing import Callable, Mapping, Sequence
@@ -44,16 +43,15 @@ from typing import Callable, Mapping, Sequence
 from .exactpoly import (
     IntPoly,
     MultiPoly,
+    gcd as poly_gcd,
     gradient,
     hessian_determinant,
-    is_prime,
     linear_substitute,
+    prs_subresultants,
+    rational_roots,
     resultant,
     squarefree_decompose,
 )
-from .exactpoly.resultant import _prs_subresultants
-from .exactpoly.unipoly import _derivative, _divexact, _primitive
-from .exactpoly.unipoly import gcd as poly_gcd
 
 RETRY_BUDGET = 8
 INITIAL_BOUND = 3
@@ -187,13 +185,13 @@ def _integer_form(p: MultiPoly) -> MultiPoly:
 
 
 def _int_poly(p: MultiPoly) -> IntPoly:
-    """Primitive coefficient list of a univariate integer polynomial."""
+    """Coefficient list of a univariate integer polynomial."""
     if p.is_zero():
         return []
     dense = [0] * (p.total_degree() + 1)
     for (e,), c in p.terms.items():
         dense[e] = c
-    return _primitive(dense)
+    return dense
 
 
 def random_unimodular(rng: random.Random, bound: int) -> list[list[int]]:
@@ -324,9 +322,10 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
     if shared:
         raise SingularCurveError("two partial derivatives share a positive-dimensional component")
     detail = (
-        "; the gradient system kept common roots under every projection but"
-        " none with rational coordinates, so the curve is most likely"
-        " singular at irrational points"
+        "; the gradient system kept common roots under every projection that"
+        f" reached the elimination ({obstructed} of {RETRY_BUDGET}) but none with"
+        " rational coordinates, so the curve is most likely singular at"
+        " irrational points"
         if obstructed
         else ""
     )
@@ -348,73 +347,11 @@ def _binary_common_roots(
     """
     u1 = _int_poly(r1)
     u2 = _int_poly(r2)
-    val1 = next(i for i, cc in enumerate(u1) if cc != 0)
-    val2 = next(i for i, cc in enumerate(u2) if cc != 0)
-    g = poly_gcd(u1[val1:], u2[val2:])
-    root_at_zero = val1 > 0 and val2 > 0
+    g = poly_gcd(u1, u2)
     root_at_infinity = len(u1) - 1 < deg1 and len(u2) - 1 < deg2
-    if len(g) == 1 and not root_at_zero and not root_at_infinity:
+    if len(g) == 1 and not root_at_infinity:
         return None
-    found: list[tuple[int, int]] = []
-    if root_at_zero:
-        found.append((0, 1))
-    if root_at_infinity:
-        found.append((1, 0))
-    if len(g) > 1:
-        found.extend(_rational_roots(g))
-    return found
-
-
-def _rational_roots(ints: IntPoly) -> list[tuple[int, int]]:
-    """All rational roots a/q of a nonzero integer polynomial, in lowest
-    terms with q > 0, as pairs (a, q) in increasing order of a/q, found
-    without factoring any coefficient.
-
-    A root a/q of the squarefree part p, in lowest terms, makes lc*a/q an
-    integer of size at most |lc*c|, c the lowest nonzero coefficient.  Each
-    such root is a simple root modulo a prime that divides neither lc nor p'
-    at a root of p; it is Hensel-lifted until the modulus exceeds 2|lc*c|,
-    and lc*root, balanced and divided by lc, is tested exactly.
-    """
-    p = _divexact(ints, poly_gcd(ints, _derivative(ints)))
-    if p[-1] < 0:
-        p = [-c for c in p]
-    dp = _derivative(p)
-    lead = p[-1]
-    for prime in (n for n in count(2) if lead % n and is_prime(n)):
-        residues = [r for r in range(prime) if _value_mod(p, r, prime) == 0]
-        if all(_value_mod(dp, r, prime) for r in residues):
-            break
-    bound = 2 * abs(lead * next(c for c in p if c))
-    roots = []
-    for r in residues:
-        m = prime
-        while m <= bound:
-            m *= m
-            r = (r - _value_mod(p, r, m) * pow(_value_mod(dp, r, m), -1, m)) % m
-        n = lead * r % m
-        n = n - m if 2 * n > m else n
-        g = int_gcd(n, lead)
-        if _vanishes_at(p, n // g, lead // g):
-            roots.append((n // g, lead // g))
-    return sorted(roots, key=lambda root: root[0] * lead // root[1])  # lc * root, lc > 0
-
-
-def _value_mod(p: IntPoly, x: int, m: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _vanishes_at(p: IntPoly, a: int, q: int) -> bool:
-    """Whether p(a/q) = 0, tested as sum p[i] * a**i * q**(n-i) = 0."""
-    acc = 0
-    scale = 1
-    for c in reversed(p):
-        acc = acc * a + c * scale
-        scale *= q
-    return acc == 0
+    return ([(1, 0)] if root_at_infinity else []) + rational_roots(g)
 
 
 def _find_rational_witness(
@@ -430,7 +367,7 @@ def _find_rational_witness(
             h = poly_gcd(h, [c.evaluate((x0, y0)) for c in p.coefficients_in("z")])
         if len(h) == 1:
             continue
-        for a, q in _rational_roots(h):
+        for a, q in rational_roots(h):
             point = (x0 * q, y0 * q, a)
             if all(p.evaluate(point) == 0 for p in grads):
                 return point
@@ -572,4 +509,4 @@ def _degree_short(g: MultiPoly, hess: MultiPoly) -> bool:
     top coefficient is Res_y(g(1, y, 0), hess(1, y, 0)) when the leading
     coefficients in y are constants (Fulton, Algebraic Curves, 5.3)."""
     on_line = (_int_poly(p.dehomogenize("x").coefficients_in("z")[0]) for p in (g, hess))
-    return _prs_subresultants(*on_line)[0] == 0
+    return prs_subresultants(*on_line)[0] == 0

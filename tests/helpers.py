@@ -13,7 +13,7 @@ from orbitflex.exactpoly.resultant import (
     _dense_in,
     _divexact_scalar,
     _horner,
-    _prs_subresultants,
+    prs_subresultants,
 )
 from orbitflex.exactpoly.unipoly import (
     IntPoly,
@@ -180,7 +180,7 @@ def resultant_at_naturals(f: MultiPoly, g: MultiPoly, var: str) -> tuple[MultiPo
     k = n * f.total_degree() + m * g.total_degree() - m * n + 1
     values, sres1 = zip(
         *(
-            _prs_subresultants([_horner(c, t) for c in fi], [_horner(c, t) for c in gi])
+            prs_subresultants([_horner(c, t) for c in fi], [_horner(c, t) for c in gi])
             for t in range(k)
         )
     )

@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +35,7 @@ from orbitflex.flexlab import (
     random_unimodular,
 )
 from orbitflex.polyparse import parse_form
-from helpers import random_homogeneous, random_smooth_curve, rational_roots_by_divisors
+from helpers import random_homogeneous, random_smooth_curve
 
 def curve(src: str) -> PlaneCurve:
     form, _ = parse_form(src)
@@ -544,53 +543,19 @@ def test_irrational_singularities_cannot_be_certified():
     assert "irrational" in str(err.value)
 
 
-def _planted(rng, roots, others):
-    """content * prod (q x - a) over the roots a/q, times the ``others``."""
-    p = [rng.choice([-6, -2, -1, 1, 3, 10])]
-    for f in [[-r.numerator, r.denominator] for r in roots] + list(others):
-        prod = [0] * (len(p) + len(f) - 1)
-        for i, x in enumerate(p):
-            for j, y in enumerate(f):
-                prod[i + j] += x * y
-        p = prod
-    return p
-
-
-# x^2 - 2, x^2 + x + 1, x^3 - 3, 9x^2 + 5: no rational root.
-_NO_RATIONAL_ROOT = ([-2, 0, 1], [1, 1, 1], [-3, 0, 0, 1], [5, 0, 9])
-
-
-def test_rational_roots_agree_with_divisor_search():
-    rng = random.Random(83)
-    for _ in range(200):
-        roots = [
-            Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))
-        ]
-        roots += rng.sample(roots, min(len(roots), rng.randint(0, 2)))  # repeated
-        if rng.random() < 0.2:
-            roots.append(Fraction(0))
-        p = _planted(rng, roots, rng.sample(_NO_RATIONAL_ROOT, rng.randint(0, 2)))
-        expected = sorted(set(roots))
-        assert sorted(rational_roots_by_divisors(p)) == expected
-        assert [Fraction(a, q) for a, q in flexlab._rational_roots(p)] == expected
-
-
-def test_rational_roots_with_large_prime_factors():
-    # Coefficients a divisor search would have to factor: large primes and
-    # products of two of them, as in (x^2 - 1000003 z^2)^2 + y^4.
-    rng = random.Random(89)
-    big = [1000003, 2**61 - 1, 1000003 * 1000033, (2**31 - 1) * (2**61 - 1)]
-    others = _NO_RATIONAL_ROOT + ([-1000003, 0, 1], [2**61 - 1, 0, 1000033])
-    for _ in range(40):
-        roots = [
-            Fraction(rng.choice(big) * rng.choice([-1, 1]), rng.choice([1, 3, 1000033, 2**31 - 1]))
-            for _ in range(rng.randint(0, 3))
-        ]
-        roots += rng.sample(roots, min(len(roots), rng.randint(0, 1)))
-        p = _planted(rng, roots, rng.sample(others, rng.randint(0, 2)))
-        found = flexlab._rational_roots(p)
-        assert [Fraction(a, q) for a, q in found] == sorted(set(roots))
-        assert all(q > 0 and gcd(a, q) == 1 for a, q in found)
+def test_witness_over_the_root_at_infinity(monkeypatch):
+    # Singular at (1:0:1) only.  In the original coordinates, the only ones
+    # tried here, no partial vanishes at (0:0:1), and the two resultants
+    # both drop degree: their common root is (1:0), whose fibre holds the
+    # singular point.
+    form, _ = parse_form(
+        "2*x^3 - 5*x^2*z + x*y^2 + 3*x*y*z + 4*x*z^2 - y^3 - 3*y^2*z - 3*y*z^2 - z^3"
+    )
+    assert [p.evaluate((0, 0, 1)) for p in gradient(form)] == [4, -3, -3]
+    monkeypatch.setattr(flexlab, "RETRY_BUDGET", 1)
+    with pytest.raises(SingularCurveError) as err:
+        check_smooth(form)
+    assert err.value.witness == (1, 0, 1)
 
 
 def _small_rational_points(form, bound=3):

@@ -1,5 +1,6 @@
 """Repository hygiene: the README's examples run, no module imports a
-name it never uses, and the polynomial core does not import ``fractions``."""
+name it never uses, the polynomial core does not import ``fractions``, and
+the rest of the package uses only public names of the polynomial core."""
 
 import ast
 import re
@@ -79,6 +80,27 @@ def test_exactpoly_has_integer_coefficients_only(path):
     assert "fractions" not in imported_modules(path)
 
 
+def private_exactpoly_imports(path: Path, package: tuple[str, ...]) -> list[str]:
+    """Underscore names a module of ``package`` imports from ``exactpoly``."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level] if node.level else ()
+            if (base + tuple((node.module or "").split(".")))[:2] == ("orbitflex", "exactpoly"):
+                names += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return names
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if "exactpoly" not in p.relative_to(PACKAGE).parts),
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_only_public_exactpoly_names_outside_it(path):
+    package = ("orbitflex", *path.relative_to(PACKAGE).parent.parts)
+    assert private_exactpoly_imports(path, package) == []
+
+
 def test_unused_import_is_caught(tmp_path):
     module = tmp_path / "m.py"
     module.write_text(
@@ -88,3 +110,14 @@ def test_unused_import_is_caught(tmp_path):
     )
     assert unused_imports(module) == ["Sequence (line 1)"]
     assert imported_modules(module) == {"typing", "os"}
+
+
+def test_private_exactpoly_import_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from .exactpoly import MultiPoly\n"
+        "from .exactpoly.unipoly import _primitive, gcd\n"
+        "from orbitflex.exactpoly.resultant import _horner\n"
+        "from .polyparse import _tokens\n"
+    )
+    assert private_exactpoly_imports(module, ("orbitflex",)) == ["_primitive", "_horner"]

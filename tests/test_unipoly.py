@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
+from math import gcd as int_gcd
 
 import pytest
 
-from orbitflex.exactpoly import ZeroPolynomialError, gcd, squarefree_decompose
+from orbitflex.exactpoly import ZeroPolynomialError, gcd, rational_roots, squarefree_decompose
 from orbitflex.exactpoly import unipoly
 from orbitflex.exactpoly.unipoly import _divides, _primitive
 
-from helpers import gcd_multimodular, gcd_prs
+from helpers import gcd_multimodular, gcd_prs, rational_roots_by_divisors
 
 P = 2**31 - 1  # the first prime of the gcd_multimodular oracle
 
@@ -191,3 +193,53 @@ def test_modular_gcd_huge_coefficients():
     h = gcd(mul(shared, f), mul(shared, g))
     # f and g are coprime, so the gcd is the (primitive) shared factor
     assert h == shared
+
+
+def _planted(rng, roots, others):
+    """content * prod (q x - a) over the roots a/q, times the ``others``."""
+    content = [rng.choice([-6, -2, -1, 1, 3, 10])]
+    return mul(content, *([-r.numerator, r.denominator] for r in roots), *others)
+
+
+# x^2 - 2, x^2 + x + 1, x^3 - 3, 9x^2 + 5: no rational root.
+_NO_RATIONAL_ROOT = ([-2, 0, 1], [1, 1, 1], [-3, 0, 0, 1], [5, 0, 9])
+
+
+def test_rational_roots_agree_with_divisor_search():
+    rng = random.Random(83)
+    for _ in range(200):
+        roots = [
+            Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(rng.randint(0, 4))
+        ]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 2)))  # repeated
+        if rng.random() < 0.2:
+            roots.append(Fraction(0))
+        p = _planted(rng, roots, rng.sample(_NO_RATIONAL_ROOT, rng.randint(0, 2)))
+        expected = sorted(set(roots))
+        assert sorted(rational_roots_by_divisors(p)) == expected
+        assert [Fraction(a, q) for a, q in rational_roots(p)] == expected
+
+
+def test_rational_roots_with_large_prime_factors():
+    # Coefficients a divisor search would have to factor: large primes and
+    # products of two of them, as in (x^2 - 1000003 z^2)^2 + y^4.
+    rng = random.Random(89)
+    big = [1000003, 2**61 - 1, 1000003 * 1000033, (2**31 - 1) * (2**61 - 1)]
+    others = _NO_RATIONAL_ROOT + ([-1000003, 0, 1], [2**61 - 1, 0, 1000033])
+    for _ in range(40):
+        roots = [
+            Fraction(rng.choice(big) * rng.choice([-1, 1]), rng.choice([1, 3, 1000033, 2**31 - 1]))
+            for _ in range(rng.randint(0, 3))
+        ]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 1)))
+        p = _planted(rng, roots, rng.sample(others, rng.randint(0, 2)))
+        found = rational_roots(p)
+        assert [Fraction(a, q) for a, q in found] == sorted(set(roots))
+        assert all(q > 0 and int_gcd(a, q) == 1 for a, q in found)
+
+
+def test_rational_roots_order_zero_among_negative_and_positive():
+    # x (x + 2) (2x - 1): the root 0 takes its place in the order.
+    assert rational_roots(mul([0, 1], lin(-2), [-1, 2])) == [(-2, 1), (0, 1), (1, 2)]
+    assert rational_roots([0, 0, 0, 1]) == [(0, 1)]
+    assert rational_roots([7]) == []
