@@ -21,30 +21,16 @@ have integer coefficients and a nonzero constant top coefficient in
 
 All arithmetic is on Python integers, and identical inputs give identical
 term maps.
-
-The points are independent.  A call with at least PARALLEL_MIN_POINTS of
-them (the flex resultant from degree 7 on), in a process with one thread
-and two CPUs, forks a child for that call alone: it sends the odd-indexed
-points' values back through a pipe in ``marshal`` format while the caller
-computes the even-indexed ones, and is reaped (killed first if the caller
-raises) before the call returns.  Interpolation stays in the caller, so
-the output does not depend on the split.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
-import threading
 from functools import partial
 from math import factorial
 from typing import Callable, Sequence
 
 from .multipoly import MultiPoly
 from .unipoly import IntPoly, ZeroPolynomialError, _deg, _pseudo_rem, _trim
-
-# Fewest evaluation points for which a call is split with a child process.
-PARALLEL_MIN_POINTS = 100
 
 
 def resultant(
@@ -79,7 +65,10 @@ def resultant(
     m, n = len(fi) - 1, len(gi) - 1
     k = n * f.total_degree() + m * g.total_degree() - m * n + 1
     lo = -(k // 2)
-    values, sres1 = zip(*_point_values(fi, gi, list(range(lo, lo + k))))
+    values, sres1 = zip(*[
+        prs_subresultants([_horner(c, t) for c in fi], [_horner(c, t) for c in gi])
+        for t in range(lo, lo + k)
+    ])
     rest = tuple(v for v in f.variables if v != var)
     if first_subresultant is not None:
         # sres_1 has degree at most (n-1)D + (m-1)E - mn + 1 < k in x.
@@ -106,59 +95,6 @@ def _dense_in(p: MultiPoly, var: str) -> list[IntPoly]:
 def _from_values(values: Sequence[int], variables: tuple[str, ...]) -> MultiPoly:
     """The polynomial through the balanced points of ``_interpolate``."""
     return MultiPoly(variables, {(i,): c for i, c in enumerate(_interpolate(values)) if c})
-
-
-def _values(fi: list[IntPoly], gi: list[IntPoly], points: list[int]) -> list[tuple[int, int]]:
-    """(Res, sres_1) of the specialisations of fi and gi at each point."""
-    return [
-        prs_subresultants([_horner(c, t) for c in fi], [_horner(c, t) for c in gi])
-        for t in points
-    ]
-
-
-_CAN_FORK = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-
-
-def _point_values(fi: list[IntPoly], gi: list[IntPoly], points: list[int]) -> list[tuple[int, int]]:
-    """``_values``, with the odd-indexed points of a large call computed by
-    a forked child; if the fork fails or the child dies, by the caller."""
-    if (
-        len(points) < PARALLEL_MIN_POINTS
-        or not _CAN_FORK
-        or threading.active_count() > 1  # forking a threaded process can deadlock
-        or len(os.sched_getaffinity(0)) < 2
-    ):
-        return _values(fi, gi, points)
-    values = [(0, 0)] * len(points)
-    fds: tuple[int, ...] = ()
-    try:
-        fds = answers_in, answers_out = os.pipe()
-        pid = os.fork()
-    except OSError:  # such as EAGAIN from fork
-        for fd in fds:
-            os.close(fd)
-        return _values(fi, gi, points)
-    if pid == 0:
-        try:
-            os.close(answers_in)
-            with open(answers_out, "wb") as answers:
-                marshal.dump(_values(fi, gi, points[1::2]), answers)
-        finally:
-            os._exit(0)
-    try:
-        os.close(answers_out)
-        with open(answers_in, "rb") as answers:
-            values[::2] = _values(fi, gi, points[::2])
-            try:
-                values[1::2] = marshal.load(answers)
-            except EOFError:  # the child died
-                values[1::2] = _values(fi, gi, points[1::2])
-    except BaseException:
-        os.kill(pid, 9)  # SIGKILL: the child's half may take seconds
-        raise
-    finally:
-        os.waitpid(pid, 0)
-    return values
 
 
 def _horner(coeffs: Sequence[int], t: int) -> int:

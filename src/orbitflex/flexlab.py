@@ -19,6 +19,13 @@ So a certified profile is proved; a second, different shear is drawn as
 a cross-check and must agree.  Every step runs on Python integers, and
 the whole computation is deterministic given the seed.
 
+From degree 7 on, given two CPUs, a forked child (``_beside``) computes
+the second smoothness resultant, or the projections that ``flex_profile``
+would draw next if the current one were certified.  That cannot change
+the output: the child draws from copies of the generator, so the caller
+redraws the same shears; a record depends only on the form and the shear;
+and the caller makes every decision itself, as a serial run does.
+
 ``check_smooth`` certifies that the three partial derivatives share no
 projective zero, by eliminating one variable from two pairs of partials
 and taking a gcd of the resulting binary forms; ``random_unimodular``
@@ -32,13 +39,18 @@ witness search goes on too.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import threading
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd as int_gcd
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactpoly import (
     IntPoly,
@@ -56,6 +68,8 @@ from .exactpoly import (
 RETRY_BUDGET = 8
 INITIAL_BOUND = 3
 INITIAL_SHEAR_BOUND = 2
+# Lowest curve degree whose resultants are worth a forked child.
+PARALLEL_MIN_DEGREE = 7
 
 Point = tuple[int, int, int]
 
@@ -251,6 +265,54 @@ def _normalize_point(v: Sequence[int]) -> Point:
     return tuple(c // g for c in v)
 
 
+@contextmanager
+def _beside(d: int, work: Callable, instead: Callable) -> Iterator[Callable]:
+    """Run ``work`` in a forked child while the with-block runs; yields a
+    function that returns its value, sent back in ``marshal`` format, or
+    ``instead()`` when there is no child: below degree PARALLEL_MIN_DEGREE,
+    with fewer than two CPUs or more than one thread (forking a threaded
+    process can deadlock), or when the fork fails or the child dies.  The
+    child is killed and reaped when the block ends, or raises.
+    """
+    if (
+        d < PARALLEL_MIN_DEGREE
+        or not hasattr(os, "sched_getaffinity")  # where it exists, so does os.fork
+        or threading.active_count() > 1
+        or len(os.sched_getaffinity(0)) < 2
+    ):
+        yield instead
+        return
+    fds: tuple[int, ...] = ()
+    try:
+        fds = answers_in, answers_out = os.pipe()
+        pid = os.fork()
+    except OSError:  # such as EAGAIN from fork
+        for fd in fds:
+            os.close(fd)
+        yield instead
+        return
+    if pid == 0:
+        try:
+            os.close(answers_in)
+            with open(answers_out, "wb") as answers:
+                marshal.dump(work(), answers)
+        finally:
+            os._exit(0)
+    try:
+        os.close(answers_out)
+        with open(answers_in, "rb") as answers:
+            def value():
+                try:
+                    return marshal.load(answers)
+                except EOFError:  # the child died
+                    return instead()
+
+            yield value
+    finally:
+        os.kill(pid, 9)  # SIGKILL: its work may take seconds, or not be wanted
+        os.waitpid(pid, 0)
+
+
 # ----------------------------------------------------------------------
 # Smoothness
 # ----------------------------------------------------------------------
@@ -301,15 +363,16 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
         if any(p.evaluate((0, 0, 1)) == 0 for p in grads):
             continue
         a, b, c = (p.dehomogenize("y") for p in grads)
-        r1 = resultant(a, b, "z")
-        r2 = resultant(a, c, "z")
-        if r1.is_zero() or r2.is_zero():
+        second = partial(_eliminate_z, a, c)
+        with _beside(d, second, second) as beside:
+            u1, u2 = _eliminate_z(a, b), beside()
+        if not u1 or not u2:
             # Two partials share a component, which meets the third partial
             # in singular points; new coordinates may name one.
             shared += 1
             continue
         deg_form = (d - 1) ** 2
-        common = _binary_common_roots(r1, r2, deg_form, deg_form)
+        common = _binary_common_roots(u1, u2, deg_form, deg_form)
         if common is None:
             return PlaneCurve(form=form, degree=d)
         obstructed += 1
@@ -334,19 +397,21 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
     )
 
 
+def _eliminate_z(a: MultiPoly, b: MultiPoly) -> IntPoly:
+    return _int_poly(resultant(a, b, "z"))
+
+
 def _binary_common_roots(
-    r1: MultiPoly, r2: MultiPoly, deg1: int, deg2: int
+    u1: IntPoly, u2: IntPoly, deg1: int, deg2: int
 ) -> list[tuple[int, int]] | None:
     """Common projective roots of two binary forms given dehomogenized.
 
-    ``r1``/``r2`` are the y=1 specializations of forms of degree ``deg1``
+    ``u1``/``u2`` are the y=1 specializations of forms of degree ``deg1``
     and ``deg2`` in (x, y).  Returns None when there is no common root
     (the smoothness certificate), otherwise a list of the rational common
     roots found, as integer pairs (x0, y0) -- possibly empty when every
     common root is irrational.
     """
-    u1 = _int_poly(r1)
-    u2 = _int_poly(r2)
     g = poly_gcd(u1, u2)
     root_at_infinity = len(u1) - 1 < deg1 and len(u2) - 1 < deg2
     if len(g) == 1 and not root_at_infinity:
@@ -440,15 +505,24 @@ def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
     tried: set[tuple[int, int, int]] = set()
     proved: dict[int, int] | None = None
     rejected: Counter[str] = Counter()
-    for _ in range(RETRY_BUDGET):
-        outcome = _profile_once(form, d, random_shear(rng, bound, tried), proved)
+    ahead: dict = {}  # records by shear, computed by a child
+    for attempt in range(RETRY_BUDGET):
+        m = random_shear(rng, bound, tried)
+        record = ahead.get(tuple(map(tuple, m)))
+        if record is None and proved is None:
+            n = RETRY_BUDGET - attempt - 1
+            with _beside(d, partial(_draws_ahead, form, d, rng, bound, tried, n), dict) as drawn:
+                record = _profile_once(form, d, m)
+                if not isinstance(_judge(record, None), str):
+                    ahead = drawn()
+        elif record is None:
+            record = _profile_once(form, d, m)
+        outcome = _judge(record, proved)
         if isinstance(outcome, str):
             rejected[outcome] += 1
             bound *= 2
         elif proved is None:
             proved = outcome
-        elif outcome != proved:
-            raise RuntimeError(f"two certified flex profiles disagree: {proved}, {outcome}")
         else:
             return FlexProfile(d, proved)
     tally = ", ".join(f"{reason} x {n}" for reason, n in rejected.items())
@@ -458,15 +532,38 @@ def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
     )
 
 
-def _profile_once(
-    form: MultiPoly,
-    d: int,
-    m: Sequence[Sequence[int]],
-    proved: Mapping[int, int] | None = None,
-) -> dict[int, int] | str:
-    """Certified multiplicity profile under one coordinate change, or the
-    reason the change is rejected.  A profile equal to ``proved``, one
-    already certified under another change, needs no certificate of its own.
+def _draws_ahead(form: MultiPoly, d: int, rng: random.Random, bound: int, tried: set, n: int):
+    """Records by shear of the next n draws of ``flex_profile`` once a
+    profile is proved, up to the first with counts; runs in a child, on
+    its copies of ``rng`` and ``tried``."""
+    records = {}
+    for _ in range(n):
+        m = random_shear(rng, bound, tried)
+        records[tuple(map(tuple, m))] = record = _profile_once(form, d, m)
+        if record[0] is None:
+            break
+        bound *= 2
+    return records
+
+
+def _judge(record: tuple, proved: Mapping[int, int] | None) -> dict[int, int] | str:
+    """The counts of a ``_profile_once`` record if they are proved, else
+    the reason to reject it.  Counts equal to ``proved``, certified under
+    another change, need no certificate; certified ones that differ raise."""
+    reason, counts, separated = record
+    if reason is not None or counts == proved:
+        return reason or counts
+    if not separated:
+        return NOT_SEPARATING
+    if proved is not None:
+        raise RuntimeError(f"two certified flex profiles disagree: {proved}, {counts}")
+    return counts
+
+
+def _profile_once(form: MultiPoly, d: int, m: Sequence[Sequence[int]]) -> tuple:
+    """(reason, counts, separated) for one coordinate change: the reason
+    to reject it, or None, the resultant's multiplicity profile and whether
+    the projection is certified to separate.
 
     The change puts the projection centre at (0:1:0).  When neither the
     curve nor its Hessian passes through it, both have constant leading
@@ -482,26 +579,23 @@ def _profile_once(
     """
     g = linear_substitute(form, m)
     if g.evaluate((0, 1, 0)) == 0:
-        return CENTRE_ON_CURVE
+        return CENTRE_ON_CURVE, None, False
     hess = hessian_determinant(g)
     if hess.is_zero() or hess.evaluate((0, 1, 0)) == 0:
-        return HESSIAN_ZERO_AT_CENTRE
+        return HESSIAN_ZERO_AT_CENTRE, None, False
     if _degree_short(g, hess):
-        return DEGREE_SHORT
+        return DEGREE_SHORT, None, False
     sres1: list[Callable[[], MultiPoly]] = []
     res = resultant(
         g.dehomogenize("z"), hess.dehomogenize("z"), "y", first_subresultant=sres1
     )
     if res.degree_in("x") != 3 * d * (d - 2):
-        return DEGREE_SHORT
+        return DEGREE_SHORT, None, False
     factors = squarefree_decompose(_int_poly(res))
     counts = {mult: len(factor) - 1 for mult, factor in factors}
     repeated = [factor for mult, factor in factors if mult > 1]
-    if repeated and counts != proved:
-        s1 = _int_poly(sres1[0]())
-        if any(len(poly_gcd(factor, s1)) > 1 for factor in repeated):
-            return NOT_SEPARATING
-    return counts
+    s1 = _int_poly(sres1[0]()) if repeated else []
+    return None, counts, all(len(poly_gcd(factor, s1)) == 1 for factor in repeated)
 
 
 def _degree_short(g: MultiPoly, hess: MultiPoly) -> bool:

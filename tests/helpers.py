@@ -1,12 +1,16 @@
 """Shared generators for randomized tests (all deterministic via seeds),
-and the reference algorithms that differential tests compare against."""
+the reference algorithms that differential tests compare against, and
+checks on forked children."""
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial, gcd
+
+import pytest
 
 from orbitflex.exactpoly import MultiPoly, det3, factor_integer, is_prime
 from orbitflex.exactpoly.resultant import (
@@ -23,6 +27,7 @@ from orbitflex.exactpoly.unipoly import (
     _pseudo_rem,
     _trim,
 )
+from orbitflex import flexlab
 from orbitflex.flexlab import PlaneCurve, SingularCurveError, check_smooth
 
 CURVE_VARS = ("x", "y", "z")
@@ -367,3 +372,22 @@ def _divisors(n: int, cap: int = 4096) -> list[int] | None:
         if len(divs) > cap:
             return None
     return divs
+
+
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"),
+    reason="forking a child needs os.fork and os.sched_getaffinity",
+)
+
+
+def serially(monkeypatch, compute):
+    """compute() with flexlab's forking threshold out of reach."""
+    with monkeypatch.context() as m:
+        m.setattr(flexlab, "PARALLEL_MIN_DEGREE", 10**9)
+        return compute()
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

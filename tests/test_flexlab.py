@@ -26,6 +26,7 @@ from orbitflex.flexlab import (
     INITIAL_SHEAR_BOUND,
     PointNotOnCurveError,
     SingularCurveError,
+    _judge,
     _profile_once,
     check_smooth,
     f_sums,
@@ -35,7 +36,7 @@ from orbitflex.flexlab import (
     random_unimodular,
 )
 from orbitflex.polyparse import parse_form
-from helpers import random_homogeneous, random_smooth_curve
+from helpers import needs_fork, random_homogeneous, random_smooth_curve, serially
 
 def curve(src: str) -> PlaneCurve:
     form, _ = parse_form(src)
@@ -306,7 +307,7 @@ def test_klein_shear_sweep():
     verdicts = Counter()
     r = range(-2, 3)
     for m in [_shear(a, b, c) for a in r for b in r for c in r]:
-        outcome = _profile_once(form, 4, m)
+        outcome = _judge(_profile_once(form, 4, m), None)
         if isinstance(outcome, str):
             verdicts[outcome] += 1
         else:
@@ -326,10 +327,11 @@ def test_tangent_projection_needs_a_proved_profile():
     # a double root, so the certificate fails.  A profile already certified
     # under another projection is accepted as it stands.
     form = curve("x^5 + y^5 + z^5").form
-    m = _shear(-1, 1, 0)
-    assert _profile_once(form, 5, m) == NOT_SEPARATING
-    assert _profile_once(form, 5, m, proved={3: 15}) == {3: 15}
-    assert _profile_once(form, 5, m, proved={1: 45}) == NOT_SEPARATING
+    record = _profile_once(form, 5, _shear(-1, 1, 0))
+    assert record == (None, {3: 15}, False)
+    assert _judge(record, None) == NOT_SEPARATING
+    assert _judge(record, {3: 15}) == {3: 15}
+    assert _judge(record, {1: 45}) == NOT_SEPARATING
 
 
 def _draws(monkeypatch, matrices):
@@ -374,6 +376,82 @@ def test_bound_grows_only_after_a_rejection(monkeypatch):
     assert bounds == [INITIAL_SHEAR_BOUND, INITIAL_SHEAR_BOUND, 2 * INITIAL_SHEAR_BOUND]
 
 
+def _in_caller(monkeypatch, curve, seed):
+    """The profile, the shears that flex_profile draws and the number of
+    projections it computes, all in the calling process: a forked child
+    counts in its own copy."""
+    draws, projected = [], []
+    draw, once = flexlab.random_shear, flexlab._profile_once
+
+    def record_draw(rng, bound, tried):
+        draws.append(draw(rng, bound, tried))
+        return draws[-1]
+
+    def record_projection(form, d, m):
+        projected.append(m)
+        return once(form, d, m)
+
+    with monkeypatch.context() as m:
+        m.setattr(flexlab, "random_shear", record_draw)
+        m.setattr(flexlab, "_profile_once", record_projection)
+        return flex_profile(curve, seed=seed), draws, len(projected)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "src, seed, forks, projected",
+    [
+        ("x^7 + y^7 + z^7", 0, 1, 1),
+        ("x^7 + y^7 + z^7", 3, 2, 2),
+        ("x^7 + y^7 + z^7", 6, 2, 2),
+        ("x^6*y + y^6*z + z^6*x", 0, 1, 1),
+    ],
+)
+def test_projections_ahead_in_a_child_match_a_serial_run(
+    two_cpus, monkeypatch, src, seed, forks, projected
+):
+    # At seeds 3 and 6 the first projection of the Fermat curve is not
+    # separating, so the child computing ahead of it is killed; the caller
+    # computes only the projections up to the first certified one.
+    c = curve(src)
+    in_caller = lambda: _in_caller(monkeypatch, c, seed)  # noqa: E731
+    profile, draws, serial_projected = serially(monkeypatch, in_caller)
+    assert serial_projected == len(draws)
+    start = len(two_cpus)
+    assert in_caller() == (profile, draws, projected)
+    assert len(two_cpus) == start + forks
+
+
+@needs_fork
+def test_genericity_failure_with_a_child_matches_a_serial_run(two_cpus, monkeypatch):
+    # A rejection, a certified shear, then six rejections that the child
+    # computes ahead; on the Fermat septic, (a : 1 : b) = (-1 : 1 : 0) lies
+    # on the curve and the Hessian vanishes at (0 : 1 : b).
+    shears = [_shear(-1, 0, 1), _shear(2, 2, -2)]
+    shears += [_shear(0, b, c) for b, c in ((1, 1), (2, 1), (1, 2))]
+    shears += [_shear(-1, 0, c) for c in (2, 3, 4)]
+    septic = curve("x^7 + y^7 + z^7")
+
+    def failure():
+        bounds, projected = _draws(monkeypatch, shears), []
+        once = flexlab._profile_once
+        with monkeypatch.context() as m:
+            m.setattr(flexlab, "_profile_once", lambda *args: projected.append(1) or once(*args))
+            with pytest.raises(GenericityFailureError) as err:
+                flex_profile(septic)
+        return str(err.value), bounds, len(projected)
+
+    message, bounds, projected = serially(monkeypatch, failure)
+    assert message == (
+        "no two agreeing certified flex profiles within 8 coordinate changes"
+        " (rejected: centre on curve x 4, Hessian zero at centre x 3)"
+    )
+    assert projected == 8
+    forks = len(two_cpus)
+    assert failure() == (message, bounds, 2)
+    assert len(two_cpus) == forks + 2
+
+
 SHEAR_BOX = [_shear(a, b, c) for a in (-2, -1, 1, 2) for b in (-2, -1, 1, 2) for c in (-2, -1, 1, 2)]
 
 
@@ -411,9 +489,9 @@ def test_one_call_never_projects_twice_the_same_way(monkeypatch):
     seen = []
     once = flexlab._profile_once
 
-    def record(form, d, m, proved=None):
+    def record(form, d, m):
         seen[-1].append(m)
-        return once(form, d, m, proved)
+        return once(form, d, m)
 
     monkeypatch.setattr(flexlab, "_profile_once", record)
     cubic = curve("x^3 + y^3 + z^3")
@@ -464,7 +542,7 @@ def test_shear_redraw_ends_when_the_box_is_exhausted():
 
 
 def test_certified_disagreement_raises(monkeypatch):
-    outcomes = iter([{1: 9}, {1: 7, 2: 1}])
+    outcomes = iter([(None, {1: 9}, True), (None, {1: 7, 2: 1}, True)])
     monkeypatch.setattr(flexlab, "_profile_once", lambda *args: next(outcomes))
     with pytest.raises(RuntimeError, match="disagree"):
         flex_profile(curve("x^3 + y^3 + z^3"))

@@ -1,6 +1,7 @@
 """Repository hygiene: the README's examples run, no module imports a
-name it never uses, the polynomial core does not import ``fractions``, and
-the rest of the package uses only public names of the polynomial core."""
+name it never uses, the polynomial core does not import ``fractions`` and
+handles no processes or threads, and the rest of the package uses only
+public names of the polynomial core."""
 
 import ast
 import re
@@ -78,6 +79,14 @@ def test_exactpoly_has_integer_coefficients_only(path):
     # MultiPoly and the kernels under it work over the integers; the parser
     # clears denominators before a form gets here.
     assert "fractions" not in imported_modules(path)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((PACKAGE / "exactpoly").glob("*.py")), ids=lambda p: p.name
+)
+def test_exactpoly_starts_no_processes_or_threads(path):
+    # The kernel stays serial; flexlab alone forks children.
+    assert not {"os", "marshal", "threading"} & imported_modules(path)
 
 
 def private_exactpoly_imports(path: Path, package: tuple[str, ...]) -> list[str]:

@@ -1,5 +1,4 @@
 import errno
-import importlib
 import os
 import random
 import subprocess
@@ -10,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitflex import cli
+from orbitflex import cli, flexlab
 from orbitflex.exactpoly import (
     MultiPoly,
     ZeroPolynomialError,
@@ -22,9 +21,11 @@ from orbitflex.flexlab import check_smooth, flex_profile, random_unimodular
 from orbitflex.polyparse import parse_form
 
 from helpers import (
+    assert_reaped,
+    needs_fork,
     random_homogeneous,
-    random_smooth_curve,
     resultant_at_naturals,
+    serially,
     sylvester_first_subresultant,
     sylvester_matrix,
     sylvester_resultant,
@@ -258,134 +259,62 @@ def test_three_variables_rejected():
     assert resultant(f, f * (v**2 - u), "v").is_zero()
 
 
-# The module, not the function that the package exports under its name.
-RESULTANT = importlib.import_module("orbitflex.exactpoly.resultant")
-CURVE = ("x", "y", "z")
-needs_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="the split needs os.fork and os.sched_getaffinity",
-)
+# flexlab forks a child (``_beside``) for whole resultants: the second
+# smoothness elimination, and the flex projections after the current one.
+FERMAT_7 = "x^7 + y^7 + z^7"
 
 
-@pytest.fixture
-def split(monkeypatch):
-    """Split every call of two or more points, as on a machine with two
-    CPUs; yields the pids of the children forked so far."""
-    monkeypatch.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    children = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            children.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    yield children
-    assert_reaped(children)
+def smooth_curve(src: str):
+    return check_smooth(parse_form(src)[0])
 
 
-def assert_reaped(pids: list[int]) -> None:
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
-def with_sres1(f: MultiPoly, g: MultiPoly, var: str) -> tuple[dict, dict]:
-    out = []
-    res = resultant(f, g, var, first_subresultant=out)
-    return res.terms, out[0]().terms
-
-
-def serial_with_sres1(monkeypatch, f: MultiPoly, g: MultiPoly, var: str) -> tuple[dict, dict]:
-    with monkeypatch.context() as m:
-        m.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 10**9)
-        return with_sres1(f, g, var)
-
-
-def curve_hessian_pair(form: MultiPoly, rng: random.Random) -> tuple[MultiPoly, MultiPoly]:
-    """The pair a flex projection eliminates y from, after a random
-    unimodular change that puts (0:1:0) off the curve and its Hessian."""
-    while True:
-        g = linear_substitute(form, random_unimodular(rng, 3))
-        h = hessian_determinant(g)
-        if g.evaluate((0, 1, 0)) and h.evaluate((0, 1, 0)):
-            return g.dehomogenize("z"), h.dehomogenize("z")
-
-
-def fermat(d: int) -> MultiPoly:
-    return MultiPoly(CURVE, {(d, 0, 0): 1, (0, d, 0): 1, (0, 0, d): 1})
-
-
-CYCLIC_7 = MultiPoly(CURVE, {(6, 1, 0): 1, (0, 6, 1): 1, (1, 0, 6): 1})
-
-
-@needs_fork
-def test_split_matches_serial(split, monkeypatch):
-    """Resultant and sres_1 are the same term for term whether the points
-    are split with a child or not, from 2 points to 3d(d-2)+1 at d = 9."""
-    rng = random.Random(53)
-    forms = [random_smooth_curve(rng, d).form for d in range(4, 10)]
-    pairs = rand_pairs(random.Random(37))[:40]
-    pairs += [curve_hessian_pair(form, rng) for form in forms + [fermat(8), fermat(9), CYCLIC_7]]
-    for f, g in pairs:
-        var = f.variables[1]
-        forks = len(split)
-        assert with_sres1(f, g, var) == serial_with_sres1(monkeypatch, f, g, var), (f, g)
-        assert len(split) == forks + 1  # one child, which R and sres_1 share
-        assert_reaped(split)
+def in_child_only(owner: int, child_does, caller_does):
+    """A stand-in that runs ``child_does`` in a forked child and
+    ``caller_does`` in the process ``owner``."""
+    return lambda *args: (caller_does if os.getpid() == owner else child_does)(*args)
 
 
 @needs_fork
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_exception_in_callers_half_kills_the_child_at_once(split, monkeypatch, error):
-    rng = random.Random(59)
-    f, g = curve_hessian_pair(random_smooth_curve(rng, 4).form, rng)
-    want = serial_with_sres1(monkeypatch, f, g, "y")
-    owner = os.getpid()
+def test_exception_in_callers_half_kills_the_child_at_once(two_cpus, monkeypatch, error):
+    curve = smooth_curve(FERMAT_7)
+    want = flex_profile(curve)
 
-    def interrupted(fi, gi, points):
-        if os.getpid() != owner:
-            time.sleep(60)  # a child's half that would take a minute
+    def interrupted(*args):
         raise error("interrupted")
 
+    # A child's projections that would take a minute.
+    stand_in = in_child_only(os.getpid(), lambda *args: time.sleep(60), interrupted)
     with monkeypatch.context() as m:
-        m.setattr(RESULTANT, "_values", interrupted)
-        forks, start = len(split), time.monotonic()
+        m.setattr(flexlab, "_profile_once", stand_in)
+        forks, start = len(two_cpus), time.monotonic()
         with pytest.raises(error):
-            resultant(f, g, "y")
+            flex_profile(curve)
         assert time.monotonic() - start < 10
-    assert len(split) == forks + 1
-    assert_reaped(split)
-    assert with_sres1(f, g, "y") == want
+    assert len(two_cpus) == forks + 1
+    assert_reaped(two_cpus)
+    assert flex_profile(curve) == want
 
 
 @needs_fork
-def test_child_dying_mid_job_is_replaced_by_serial_values(split, monkeypatch):
-    rng = random.Random(61)
-    f, g = curve_hessian_pair(random_smooth_curve(rng, 5).form, rng)
-    want = serial_with_sres1(monkeypatch, f, g, "y")
-    owner, values = os.getpid(), RESULTANT._values
-
-    def dying_child(fi, gi, points):
-        if os.getpid() != owner:
-            os._exit(1)
-        return values(fi, gi, points)
-
-    monkeypatch.setattr(RESULTANT, "_values", dying_child)
-    forks = len(split)
-    assert with_sres1(f, g, "y") == want
-    assert len(split) == forks + 1
+def test_child_dying_mid_job_is_replaced_by_serial_values(two_cpus, monkeypatch):
+    form = parse_form(FERMAT_7)[0]
+    want = serially(monkeypatch, lambda: flex_profile(check_smooth(form), seed=3))
+    owner = os.getpid()
+    dying = lambda *args: os._exit(1)  # noqa: E731
+    monkeypatch.setattr(flexlab, "_eliminate_z", in_child_only(owner, dying, flexlab._eliminate_z))
+    monkeypatch.setattr(flexlab, "_profile_once", in_child_only(owner, dying, flexlab._profile_once))
+    forks = len(two_cpus)
+    assert flex_profile(check_smooth(form), seed=3) == want
+    # one smoothness child; at seed 3 the first projection is rejected and
+    # the second certified, each with a child
+    assert len(two_cpus) == forks + 3
 
 
 @needs_fork
-def test_fork_failure_falls_back_to_serial_with_identical_output(split, monkeypatch, capsys):
+def test_fork_failure_falls_back_to_serial_with_identical_output(two_cpus, monkeypatch, capsys):
     argv = ["--json", "flexes", "x^8 + y^8 + z^8"]
-    with monkeypatch.context() as m:
-        m.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 10**9)
-        assert cli.main(argv) == 0
+    assert serially(monkeypatch, lambda: cli.main(argv)) == 0
     want = capsys.readouterr()
     failed = []
 
@@ -400,32 +329,31 @@ def test_fork_failure_falls_back_to_serial_with_identical_output(split, monkeypa
 
 
 def test_one_cpu_never_forks(monkeypatch):
-    monkeypatch.setattr(RESULTANT, "PARALLEL_MIN_POINTS", 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
     def forbidden():
         raise AssertionError("forked on one CPU")
 
     monkeypatch.setattr(os, "fork", forbidden, raising=False)
-    f, g = curve_hessian_pair(fermat(7), random.Random(71))
-    assert resultant(f, g, "y").total_degree() == 3 * 7 * 5
+    assert flex_profile(smooth_curve(FERMAT_7), seed=3).counts == {5: 21}
 
 
 @needs_fork
-def test_profiles_on_several_threads_never_fork(split, monkeypatch):
-    """Flex profiles of degree-7 curves, whose resultants are split on the
-    main thread, agree when run on threads, where no call forks."""
-    sources = ["x^7 + y^7 + z^7", "x^6*y + y^6*z + z^6*x", "x^7 + y^7 + z^7 + x^3*y^2*z^2"]
-    curves = [check_smooth(parse_form(src)[0]) for src in sources]
-    sequential = [flex_profile(c, seed=4) for c in curves]
-    assert split
+def test_profiles_on_several_threads_never_fork(two_cpus, monkeypatch):
+    """Smoothness and flex profiles of degree-7 curves, which fork on the
+    main thread, agree when run on threads, where nothing forks."""
+    sources = [FERMAT_7, "x^6*y + y^6*z + z^6*x", "x^7 + y^7 + z^7 + x^3*y^2*z^2"]
+    forms = [parse_form(src)[0] for src in sources]
+    sequential = [flex_profile(check_smooth(f), seed=4) for f in forms]
+    assert two_cpus
 
     def forbidden():
         raise AssertionError("forked with several threads running")
 
     monkeypatch.setattr(os, "fork", forbidden)
     with ThreadPoolExecutor(max_workers=3) as pool:
-        assert list(pool.map(lambda c: flex_profile(c, seed=4), curves)) == sequential
+        threaded = list(pool.map(lambda f: flex_profile(check_smooth(f), seed=4), forms))
+    assert threaded == sequential
 
 
 def test_fresh_process_leaves_no_child_behind():

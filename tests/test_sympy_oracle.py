@@ -31,6 +31,7 @@ from orbitflex.flexlab import (  # noqa: E402
     SingularCurveError,
     _int_poly,
     _integer_form,
+    _judge,
     _profile_once,
     check_smooth,
     random_unimodular,
@@ -68,7 +69,7 @@ def first_projection(form):
 
 
 def sympy_profile(d, g, h, factors):
-    """What _profile_once must answer, decided by SymPy alone from the
+    """What _judge must make of _profile_once's record, decided by SymPy alone from the
     squarefree factors of the resultant of g and h."""
     if sum(k * f.degree() for f, k in factors) != 3 * d * (d - 2):
         return DEGREE_SHORT
@@ -97,7 +98,7 @@ def check_projection(form, d):
     _, factors = ref.sqf_list()
     theirs = sorted((k, [int(c) for c in reversed(f.all_coeffs())]) for f, k in factors)
     assert squarefree_decompose(_int_poly(ours)) == theirs
-    profile = _profile_once(form, d, m)
+    profile = _judge(_profile_once(form, d, m), None)
     assert profile == sympy_profile(d, g, h, factors)
     return profile
 
