@@ -23,11 +23,9 @@ from .flexlab import (
     GenericityFailureError,
     InconsistentProfileError,
     PlaneCurve,
-    PointNotOnCurveError,
     SingularCurveError,
     check_smooth,
     f_sums,
-    flex_order_at,
     flex_profile,
 )
 from .orbitformulas import (

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from . import chowcalc, orbitformulas
@@ -105,7 +106,7 @@ def _cmd_flexes(args: argparse.Namespace) -> int:
         "curve_degree": curve.degree,
         "profile": dict(profile.items()),
         "weighted_total": profile.weighted_total(),
-        "sums": {"f2": sums.f2, "f3": sums.f3, "f4": sums.f4, "f5": sums.f5},
+        "sums": asdict(sums),
     }
     lines = [f"curve degree: {curve.degree}"]
     lines += _profile_lines(profile)
@@ -120,12 +121,7 @@ def _report_payload(command: str, source: str, report) -> tuple[dict, list[str]]
         "curve": source,
         "curve_degree": report.degree,
         "profile": dict(report.profile.items()),
-        "sums": {
-            "f2": report.sums.f2,
-            "f3": report.sums.f3,
-            "f4": report.sums.f4,
-            "f5": report.sums.f5,
-        },
+        "sums": asdict(report.sums),
         "predegree": report.predegree,
         "routes": dict(report.routes),
         "factorization": [list(pe) for pe in report.factorization],

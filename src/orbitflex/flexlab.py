@@ -10,21 +10,21 @@ without ever leaving exact integer arithmetic: flex orders equal the
 local intersection multiplicities of the curve with its Hessian, and
 after a random integer shear with small entries those multiplicities
 are read off the squarefree decomposition of the curve-Hessian resultant.
-Each coordinate change is certified before its profile is used: the
-resultant must have the exact expected degree 3d(d-2), which a resultant
-on the line z = 0 decides first, and the projection must separate the
-intersection points, which a squarefree resultant proves at once and the
-first subresultant proves otherwise (Gonzalez-Vega & El Kahoui 1996).
-So a certified profile is proved; a second, different shear is drawn as
-a cross-check and must agree.  Every step runs on Python integers, and
-the whole computation is deterministic given the seed.
+Each coordinate change gives a record ``(reason, counts)`` whose reason
+is None exactly when the change is certified: the resultant has degree
+3d(d-2), which a resultant on the line z = 0 decides first, and the
+projection separates the intersection points, which a squarefree
+resultant proves at once and the first subresultant proves otherwise
+(Gonzalez-Vega & El Kahoui 1996).  A certified profile is proved, and a
+second shear must give the same counts.  Everything runs on Python
+integers, deterministically given the seed.
 
 From degree 7 on, given two CPUs, a forked child (``_beside``) computes
-the second smoothness resultant, or the projections that ``flex_profile``
-would draw next if the current one were certified.  That cannot change
-the output: the child draws from copies of the generator, so the caller
-redraws the same shears; a record depends only on the form and the shear;
-and the caller makes every decision itself, as a serial run does.
+the second smoothness resultant, or the records of the projections that
+``flex_profile`` would draw next if the current one were certified.  The
+output cannot change: the child draws from copies of the generator, so
+the caller redraws the same shears; a record depends only on the form
+and the shear; and the caller judges every record, as a serial run does.
 
 ``check_smooth`` certifies that the three partial derivatives share no
 projective zero, by eliminating one variable from two pairs of partials
@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd as int_gcd
-from math import lcm
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactpoly import (
@@ -68,7 +67,11 @@ from .exactpoly import (
 RETRY_BUDGET = 8
 INITIAL_BOUND = 3
 INITIAL_SHEAR_BOUND = 2
-# Lowest curve degree whose resultants are worth a forked child.
+# Lowest curve degree that gets a forked child (``_beside``): where an
+# earlier split of one resultant's evaluation points began (100 points),
+# never tuned for whole projections.  On a shared 2-CPU Xeon VM a child
+# cost flex_profile 1.5-3 ms at d = 3, and at d = 5 and 6 it saved up to
+# 30% in some series of calls and nothing in others.
 PARALLEL_MIN_DEGREE = 7
 
 Point = tuple[int, int, int]
@@ -91,10 +94,6 @@ class SingularCurveError(Exception):
 
 class GenericityFailureError(RuntimeError):
     """No generic coordinate change was found within the retry budget."""
-
-
-class PointNotOnCurveError(ValueError):
-    """A point claimed to lie on the curve does not."""
 
 
 class InconsistentProfileError(ValueError):
@@ -444,44 +443,6 @@ def _find_rational_witness(
 # ----------------------------------------------------------------------
 
 
-def flex_order_at(curve: PlaneCurve, point: Sequence[int | Fraction]) -> int:
-    """Flex order r at a rational point of the curve (0 = not a flex).
-
-    With v a second point of the tangent line, F(s*q + t*v) is the sum of
-    s**(d-k) * t**k * (D_v**k F)(q) / k! over k, D_v = sum v_i d/dx_i; so
-    r + 2, the order of vanishing of F along the line at q, is the first
-    k with (D_v**k F)(q) != 0.
-    """
-    den = lcm(*(Fraction(c).denominator for c in point))
-    q = tuple(int(c * den) for c in point)
-    if len(q) != 3 or all(c == 0 for c in q):
-        raise ValueError(f"not a projective point: {point}")
-    form = curve.form
-    if form.evaluate(q) != 0:
-        raise PointNotOnCurveError(f"{point} does not lie on the curve")
-    a, b, c = (p.evaluate(q) for p in gradient(form))
-    # Vectors spanning the tangent line a*x + b*y + c*z = 0; the point
-    # itself lies on it by the Euler identity.  They are all zero exactly
-    # when the gradient vanishes at q.
-    for v in ((b, -a, 0), (c, 0, -a), (0, c, -b)):
-        cross = (
-            q[1] * v[2] - q[2] * v[1],
-            q[2] * v[0] - q[0] * v[2],
-            q[0] * v[1] - q[1] * v[0],
-        )
-        if any(x != 0 for x in cross):
-            break
-    else:
-        raise ValueError(f"curve is singular at {point}")
-    derivative, k = form, 0
-    while not derivative.is_zero():
-        if derivative.evaluate(q) != 0:
-            return k - 2
-        derivative = sum(vi * derivative.diff(x) for vi, x in zip(v, form.variables))
-        k += 1
-    raise ValueError("tangent line is contained in the curve")
-
-
 # Why a coordinate change is rejected, as counted by flex_profile.
 CENTRE_ON_CURVE = "centre on curve"
 HESSIAN_ZERO_AT_CENTRE = "Hessian zero at centre"
@@ -492,11 +453,11 @@ NOT_SEPARATING = "not separating"
 def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
     """Flex-order multiset of a smooth curve, deterministic given seed.
 
-    Draws shears until one is certified by ``_profile_once``; its profile
-    is proved.  A second, different shear is drawn as a cross check: it
-    passes when its profile agrees or is certified itself, and a certified
-    disagreement is a defect and raises.  The bound on the shear entries
-    doubles after each rejected coordinate change only.
+    Draws shears and judges each ``_profile_once`` record by one rule:
+    counts equal to the proved profile accept, certified or not; otherwise
+    a reason rejects, and the bound on the shear entries doubles; the
+    first certified record proves its counts, and a certified disagreement
+    is a defect and raises.
     """
     d = curve.degree
     form = _integer_form(curve.form)
@@ -513,18 +474,20 @@ def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
             n = RETRY_BUDGET - attempt - 1
             with _beside(d, partial(_draws_ahead, form, d, rng, bound, tried, n), dict) as drawn:
                 record = _profile_once(form, d, m)
-                if not isinstance(_judge(record, None), str):
+                if record[0] is None:
                     ahead = drawn()
         elif record is None:
             record = _profile_once(form, d, m)
-        outcome = _judge(record, proved)
-        if isinstance(outcome, str):
-            rejected[outcome] += 1
+        reason, counts = record
+        if proved is not None and counts == proved:
+            return FlexProfile(d, proved)
+        if reason is not None:
+            rejected[reason] += 1
             bound *= 2
         elif proved is None:
-            proved = outcome
+            proved = counts
         else:
-            return FlexProfile(d, proved)
+            raise RuntimeError(f"two certified flex profiles disagree: {proved}, {counts}")
     tally = ", ".join(f"{reason} x {n}" for reason, n in rejected.items())
     raise GenericityFailureError(
         f"no two agreeing certified flex profiles within {RETRY_BUDGET} coordinate"
@@ -540,30 +503,17 @@ def _draws_ahead(form: MultiPoly, d: int, rng: random.Random, bound: int, tried:
     for _ in range(n):
         m = random_shear(rng, bound, tried)
         records[tuple(map(tuple, m))] = record = _profile_once(form, d, m)
-        if record[0] is None:
+        if record[1] is not None:
             break
         bound *= 2
     return records
 
 
-def _judge(record: tuple, proved: Mapping[int, int] | None) -> dict[int, int] | str:
-    """The counts of a ``_profile_once`` record if they are proved, else
-    the reason to reject it.  Counts equal to ``proved``, certified under
-    another change, need no certificate; certified ones that differ raise."""
-    reason, counts, separated = record
-    if reason is not None or counts == proved:
-        return reason or counts
-    if not separated:
-        return NOT_SEPARATING
-    if proved is not None:
-        raise RuntimeError(f"two certified flex profiles disagree: {proved}, {counts}")
-    return counts
-
-
 def _profile_once(form: MultiPoly, d: int, m: Sequence[Sequence[int]]) -> tuple:
-    """(reason, counts, separated) for one coordinate change: the reason
-    to reject it, or None, the resultant's multiplicity profile and whether
-    the projection is certified to separate.
+    """(reason, counts) for one coordinate change: the reason to reject
+    it, None exactly when the projection is certified, and the resultant's
+    multiplicity profile, None when the resultant was not computed.  Both
+    are plain values, so a record crosses a pipe in ``marshal`` format.
 
     The change puts the projection centre at (0:1:0).  When neither the
     curve nor its Hessian passes through it, both have constant leading
@@ -575,27 +525,30 @@ def _profile_once(form: MultiPoly, d: int, m: Sequence[Sequence[int]]) -> tuple:
     the flex orders.  A simple root needs nothing, and sres_1(x0) != 0 puts
     a single point over x0, so gcd(P, sres_1) = 1, with P the product of
     the squarefree factors of multiplicity >= 2, certifies the profile; it
-    is checked factor by factor.
+    is checked factor by factor, and a failure gives NOT_SEPARATING with
+    the counts.
     """
     g = linear_substitute(form, m)
     if g.evaluate((0, 1, 0)) == 0:
-        return CENTRE_ON_CURVE, None, False
+        return CENTRE_ON_CURVE, None
     hess = hessian_determinant(g)
     if hess.is_zero() or hess.evaluate((0, 1, 0)) == 0:
-        return HESSIAN_ZERO_AT_CENTRE, None, False
+        return HESSIAN_ZERO_AT_CENTRE, None
     if _degree_short(g, hess):
-        return DEGREE_SHORT, None, False
+        return DEGREE_SHORT, None
     sres1: list[Callable[[], MultiPoly]] = []
     res = resultant(
         g.dehomogenize("z"), hess.dehomogenize("z"), "y", first_subresultant=sres1
     )
     if res.degree_in("x") != 3 * d * (d - 2):
-        return DEGREE_SHORT, None, False
+        return DEGREE_SHORT, None
     factors = squarefree_decompose(_int_poly(res))
     counts = {mult: len(factor) - 1 for mult, factor in factors}
     repeated = [factor for mult, factor in factors if mult > 1]
     s1 = _int_poly(sres1[0]()) if repeated else []
-    return None, counts, all(len(poly_gcd(factor, s1)) == 1 for factor in repeated)
+    if any(len(poly_gcd(factor, s1)) > 1 for factor in repeated):
+        return NOT_SEPARATING, counts
+    return None, counts
 
 
 def _degree_short(g: MultiPoly, hess: MultiPoly) -> bool:

@@ -1,6 +1,6 @@
 """Shared generators for randomized tests (all deterministic via seeds),
-the reference algorithms that differential tests compare against, and
-checks on forked children."""
+the reference algorithms that differential tests compare against, the
+pointwise flex-order oracle, and checks on forked children."""
 
 from __future__ import annotations
 
@@ -8,11 +8,19 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import factorial, gcd
+from math import factorial, gcd, lcm
+from typing import Sequence
 
 import pytest
 
-from orbitflex.exactpoly import MultiPoly, det3, factor_integer, is_prime
+from orbitflex.exactpoly import (
+    MultiPoly,
+    det3,
+    factor_integer,
+    gradient,
+    is_prime,
+    linear_substitute,
+)
 from orbitflex.exactpoly.resultant import (
     _dense_in,
     _divexact_scalar,
@@ -28,7 +36,7 @@ from orbitflex.exactpoly.unipoly import (
     _trim,
 )
 from orbitflex import flexlab
-from orbitflex.flexlab import PlaneCurve, SingularCurveError, check_smooth
+from orbitflex.flexlab import PlaneCurve, SingularCurveError, check_smooth, random_unimodular
 
 CURVE_VARS = ("x", "y", "z")
 
@@ -83,6 +91,42 @@ def random_valid_profile(rng: random.Random, d: int) -> dict[int, int]:
         counts[r] = counts.get(r, 0) + 1
         remaining -= r
     return counts
+
+
+def planted_flex_curve(rng: random.Random, d: int, r: int) -> tuple[PlaneCurve, tuple[int, ...]]:
+    """A smooth curve of degree d with a flex of order exactly r at a known
+    rational point, and that point.
+
+    F = y*G + x**(r+2)*H, with G of degree d-1 and H of degree d-r-2 and
+    G(0,0,1)*H(0,0,1) != 0, meets its tangent y = 0 at (0:0:1) in
+    x**(r+2)*H(x, 0, z); a random unimodular M moves the flex to
+    adj(M) (0:0:1), since (F o M)(M^-1 q) = F(q).  Forms that are not
+    smooth are drawn again.
+    """
+    x, y = (MultiPoly.var(CURVE_VARS, v) for v in "xy")
+    while True:
+        g, h = random_homogeneous(rng, d - 1), random_homogeneous(rng, d - r - 2)
+        if g.evaluate((0, 0, 1)) * h.evaluate((0, 0, 1)) == 0:
+            continue
+        m = random_unimodular(rng, 2)
+        moved = linear_substitute(y * g + x ** (r + 2) * h, m)
+        try:
+            curve = check_smooth(moved)
+        except SingularCurveError:
+            continue
+        return curve, tuple(adjugate(m)[i][2] for i in range(3))
+
+
+def adjugate(m: list[list[int]]) -> list[list[int]]:
+    """The adjugate of a 3x3 matrix: m times it is det(m) times the identity."""
+    return [
+        [
+            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +416,53 @@ def _divisors(n: int, cap: int = 4096) -> list[int] | None:
         if len(divs) > cap:
             return None
     return divs
+
+
+# ----------------------------------------------------------------------
+# The pointwise flex-order oracle
+# ----------------------------------------------------------------------
+
+
+class PointNotOnCurveError(ValueError):
+    """A point claimed to lie on the curve does not."""
+
+
+def flex_order_at(curve: PlaneCurve, point: Sequence[int | Fraction]) -> int:
+    """Flex order r at a rational point of the curve (0 = not a flex).
+
+    With v a second point of the tangent line, F(s*q + t*v) is the sum of
+    s**(d-k) * t**k * (D_v**k F)(q) / k! over k, D_v = sum v_i d/dx_i; so
+    r + 2, the order of vanishing of F along the line at q, is the first
+    k with (D_v**k F)(q) != 0.
+    """
+    den = lcm(*(Fraction(c).denominator for c in point))
+    q = tuple(int(c * den) for c in point)
+    if len(q) != 3 or all(c == 0 for c in q):
+        raise ValueError(f"not a projective point: {point}")
+    form = curve.form
+    if form.evaluate(q) != 0:
+        raise PointNotOnCurveError(f"{point} does not lie on the curve")
+    a, b, c = (p.evaluate(q) for p in gradient(form))
+    # Vectors spanning the tangent line a*x + b*y + c*z = 0; the point
+    # itself lies on it by the Euler identity.  They are all zero exactly
+    # when the gradient vanishes at q.
+    for v in ((b, -a, 0), (c, 0, -a), (0, c, -b)):
+        cross = (
+            q[1] * v[2] - q[2] * v[1],
+            q[2] * v[0] - q[0] * v[2],
+            q[0] * v[1] - q[1] * v[0],
+        )
+        if any(x != 0 for x in cross):
+            break
+    else:
+        raise ValueError(f"curve is singular at {point}")
+    derivative, k = form, 0
+    while not derivative.is_zero():
+        if derivative.evaluate(q) != 0:
+            return k - 2
+        derivative = sum(vi * derivative.diff(x) for vi, x in zip(v, form.variables))
+        k += 1
+    raise ValueError("tangent line is contained in the curve")
 
 
 needs_fork = pytest.mark.skipif(

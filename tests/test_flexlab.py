@@ -1,5 +1,11 @@
+import errno
+import os
 import random
+import subprocess
+import sys
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -14,7 +20,7 @@ from orbitflex.exactpoly import (
     linear_substitute,
     resultant,
 )
-from orbitflex import flexlab
+from orbitflex import cli, flexlab
 from orbitflex.flexlab import (
     CENTRE_ON_CURVE,
     DEGREE_SHORT,
@@ -24,19 +30,27 @@ from orbitflex.flexlab import (
     PlaneCurve,
     INITIAL_BOUND,
     INITIAL_SHEAR_BOUND,
-    PointNotOnCurveError,
     SingularCurveError,
-    _judge,
     _profile_once,
     check_smooth,
     f_sums,
-    flex_order_at,
     flex_profile,
     random_shear,
     random_unimodular,
 )
 from orbitflex.polyparse import parse_form
-from helpers import needs_fork, random_homogeneous, random_smooth_curve, serially
+from helpers import (
+    PointNotOnCurveError,
+    adjugate,
+    assert_reaped,
+    flex_order_at,
+    needs_fork,
+    planted_flex_curve,
+    random_homogeneous,
+    random_smooth_curve,
+    serially,
+)
+
 
 def curve(src: str) -> PlaneCurve:
     form, _ = parse_form(src)
@@ -221,17 +235,6 @@ def test_flex_order_errors():
         flex_order_at(line_and_conic, (0, 0, 1))
 
 
-def _adjugate(m):
-    return [
-        [
-            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-
-
 KNOWN_ORDERS = [
     ("x^3 + y^3 + z^3", FERMAT_FLEXES),
     ("x^5 + y^5 + z^5", FERMAT_FLEXES),
@@ -249,7 +252,7 @@ def test_flex_order_invariant_under_coordinate_change():
         c = curve(src)
         for bound in (3, 12, 48):
             m = random_unimodular(rng, bound)
-            adj = _adjugate(m)
+            adj = adjugate(m)
             moved = PlaneCurve(linear_substitute(c.form, m), c.degree)
             for q in points:
                 pulled_back = [sum(adj[i][j] * q[j] for j in range(3)) for i in range(3)]
@@ -307,31 +310,16 @@ def test_klein_shear_sweep():
     verdicts = Counter()
     r = range(-2, 3)
     for m in [_shear(a, b, c) for a in r for b in r for c in r]:
-        outcome = _judge(_profile_once(form, 4, m), None)
-        if isinstance(outcome, str):
-            verdicts[outcome] += 1
-        else:
-            assert outcome == {1: 24}, m
-            verdicts["certified"] += 1
+        reason, counts = _profile_once(form, 4, m)
+        if reason is None:
+            assert counts == {1: 24}, m
+        verdicts[reason or "certified"] += 1
     assert verdicts == {
         "certified": 52,
         NOT_SEPARATING: 32,
         DEGREE_SHORT: 36,
         CENTRE_ON_CURVE: 5,
     }
-
-
-def test_tangent_projection_needs_a_proved_profile():
-    # The centre (-1 : 1 : 1) lies on x + y = 0, the tangent at the flex
-    # (1 : -1 : 0) of order 3: the profile is right, but the fibre gcd has
-    # a double root, so the certificate fails.  A profile already certified
-    # under another projection is accepted as it stands.
-    form = curve("x^5 + y^5 + z^5").form
-    record = _profile_once(form, 5, _shear(-1, 1, 0))
-    assert record == (None, {3: 15}, False)
-    assert _judge(record, None) == NOT_SEPARATING
-    assert _judge(record, {3: 15}) == {3: 15}
-    assert _judge(record, {1: 45}) == NOT_SEPARATING
 
 
 def _draws(monkeypatch, matrices):
@@ -345,6 +333,24 @@ def _draws(monkeypatch, matrices):
 
     monkeypatch.setattr(flexlab, "random_shear", draw)
     return bounds
+
+
+def test_tangent_projection_needs_a_proved_profile(monkeypatch):
+    # The centre (-1 : 1 : 1) lies on x + y = 0, the tangent at the flex
+    # (1 : -1 : 0) of order 3: the profile is right, but the fibre gcd has
+    # a double root, so the certificate fails.  As a cross-check of the
+    # profile already certified under another projection it is accepted as
+    # it stands; as a first projection it is rejected.
+    quintic = curve("x^5 + y^5 + z^5")
+    tangent, certified = _shear(-1, 1, 0), _shear(2, 2, 2)
+    assert _profile_once(quintic.form, 5, tangent) == (NOT_SEPARATING, {3: 15})
+    assert _profile_once(quintic.form, 5, certified) == (None, {3: 15})
+    bounds = _draws(monkeypatch, [certified, tangent])
+    assert flex_profile(quintic).counts == {3: 15}
+    assert bounds == [INITIAL_SHEAR_BOUND] * 2
+    bounds = _draws(monkeypatch, [tangent, certified, tangent])
+    assert flex_profile(quintic).counts == {3: 15}
+    assert bounds == [INITIAL_SHEAR_BOUND] + [2 * INITIAL_SHEAR_BOUND] * 2
 
 
 def test_genericity_failure_counts_rejections_by_reason(monkeypatch):
@@ -542,7 +548,8 @@ def test_shear_redraw_ends_when_the_box_is_exhausted():
 
 
 def test_certified_disagreement_raises(monkeypatch):
-    outcomes = iter([(None, {1: 9}, True), (None, {1: 7, 2: 1}, True)])
+    # An unseparated record that disagrees is rejected; a certified one raises.
+    outcomes = iter([(None, {1: 9}), (NOT_SEPARATING, {1: 7, 2: 1}), (None, {1: 7, 2: 1})])
     monkeypatch.setattr(flexlab, "_profile_once", lambda *args: next(outcomes))
     with pytest.raises(RuntimeError, match="disagree"):
         flex_profile(curve("x^3 + y^3 + z^3"))
@@ -558,6 +565,19 @@ def test_profile_matches_pointwise_orders():
     for pt in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         assert flex_order_at(klein, pt) == 1
     assert prof_k.count(1) == 24
+
+
+def test_planted_flexes_are_in_the_profile():
+    # Non-symmetric curves with one flex of known order r at a known point:
+    # for r >= 2 the resultant has a repeated factor, so the profile needs
+    # the first-subresultant certificate.
+    rng = random.Random(7)
+    for _ in range(50):
+        d = rng.randint(4, 7)
+        r = rng.randint(1, d - 2)
+        c, point = planted_flex_curve(rng, d, r)
+        assert flex_profile(c).count(r) >= 1, (c.form, r)
+        assert flex_order_at(c, point) == r, (c.form, point)
 
 
 def test_weighted_total_for_random_curves():
@@ -678,8 +698,6 @@ def test_point_search_orders_are_dominated_by_profile(src):
 
 
 def test_profiles_safe_to_run_in_parallel():
-    from concurrent.futures import ThreadPoolExecutor
-
     sources = ["x^3 + y^3 + z^3", "x^4 + y^4 + z^4",
                "x^3*y + y^3*z + z^3*x", "x^4 + x*y^3 + y*z^3"]
     curves = [curve(s) for s in sources]
@@ -712,3 +730,119 @@ def test_profile_invariant_under_unimodular_change(d, curve_seed, matrix_seed):
     m = random_unimodular(random.Random(matrix_seed), INITIAL_BOUND)
     moved = linear_substitute(form, m)
     assert flex_profile(check_smooth(moved)) == flex_profile(check_smooth(form))
+
+
+# ----------------------------------------------------------------------
+# Forked children: the process rules of _beside
+# ----------------------------------------------------------------------
+
+
+# flexlab forks a child (``_beside``) for whole resultants: the second
+# smoothness elimination, and the flex projections after the current one.
+FERMAT_7 = "x^7 + y^7 + z^7"
+
+
+def smooth_curve(src: str):
+    return check_smooth(parse_form(src)[0])
+
+
+def in_child_only(owner: int, child_does, caller_does):
+    """A stand-in that runs ``child_does`` in a forked child and
+    ``caller_does`` in the process ``owner``."""
+    return lambda *args: (caller_does if os.getpid() == owner else child_does)(*args)
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_exception_in_callers_half_kills_the_child_at_once(two_cpus, monkeypatch, error):
+    curve = smooth_curve(FERMAT_7)
+    want = flex_profile(curve)
+
+    def interrupted(*args):
+        raise error("interrupted")
+
+    # A child's projections that would take a minute.
+    stand_in = in_child_only(os.getpid(), lambda *args: time.sleep(60), interrupted)
+    with monkeypatch.context() as m:
+        m.setattr(flexlab, "_profile_once", stand_in)
+        forks, start = len(two_cpus), time.monotonic()
+        with pytest.raises(error):
+            flex_profile(curve)
+        assert time.monotonic() - start < 10
+    assert len(two_cpus) == forks + 1
+    assert_reaped(two_cpus)
+    assert flex_profile(curve) == want
+
+
+@needs_fork
+def test_child_dying_mid_job_is_replaced_by_serial_values(two_cpus, monkeypatch):
+    form = parse_form(FERMAT_7)[0]
+    want = serially(monkeypatch, lambda: flex_profile(check_smooth(form), seed=3))
+    owner = os.getpid()
+    dying = lambda *args: os._exit(1)  # noqa: E731
+    monkeypatch.setattr(flexlab, "_eliminate_z", in_child_only(owner, dying, flexlab._eliminate_z))
+    monkeypatch.setattr(flexlab, "_profile_once", in_child_only(owner, dying, flexlab._profile_once))
+    forks = len(two_cpus)
+    assert flex_profile(check_smooth(form), seed=3) == want
+    # one smoothness child; at seed 3 the first projection is rejected and
+    # the second certified, each with a child
+    assert len(two_cpus) == forks + 3
+
+
+@needs_fork
+def test_fork_failure_falls_back_to_serial_with_identical_output(two_cpus, monkeypatch, capsys):
+    argv = ["--json", "flexes", "x^8 + y^8 + z^8"]
+    assert serially(monkeypatch, lambda: cli.main(argv)) == 0
+    want = capsys.readouterr()
+    failed = []
+
+    def no_fork():
+        failed.append(1)
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == want
+    assert failed
+
+
+def test_one_cpu_never_forks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def forbidden():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", forbidden, raising=False)
+    assert flex_profile(smooth_curve(FERMAT_7), seed=3).counts == {5: 21}
+
+
+@needs_fork
+def test_profiles_on_several_threads_never_fork(two_cpus, monkeypatch):
+    """Smoothness and flex profiles of degree-7 curves, which fork on the
+    main thread, agree when run on threads, where nothing forks."""
+    sources = [FERMAT_7, "x^6*y + y^6*z + z^6*x", "x^7 + y^7 + z^7 + x^3*y^2*z^2"]
+    forms = [parse_form(src)[0] for src in sources]
+    sequential = [flex_profile(check_smooth(f), seed=4) for f in forms]
+    assert two_cpus
+
+    def forbidden():
+        raise AssertionError("forked with several threads running")
+
+    monkeypatch.setattr(os, "fork", forbidden)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        threaded = list(pool.map(lambda f: flex_profile(check_smooth(f), seed=4), forms))
+    assert threaded == sequential
+
+
+def test_fresh_process_leaves_no_child_behind():
+    # A child still running would hold the captured stdout open, and the
+    # call would time out instead of returning.
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitflex", "flexes", "x^8 + y^8 + z^8"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("curve degree: 8\n")
+    assert proc.stderr == ""

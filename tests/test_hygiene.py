@@ -1,17 +1,22 @@
-"""Repository hygiene: the README's examples run, no module imports a
-name it never uses, the polynomial core does not import ``fractions`` and
-handles no processes or threads, and the rest of the package uses only
-public names of the polynomial core."""
+"""Repository hygiene: the README's examples and commands run, no module
+imports a name it never uses, the polynomial core does not import
+``fractions`` and handles no processes or threads, and the rest of the
+package uses only public names of the polynomial core."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from orbitflex import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "orbitflex"
-README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
+README_COMMANDS = re.search(r"## Command line\n\n```sh\n(.*?)```", README, re.S)[1].splitlines()
 
 
 def test_readme_has_python_examples():
@@ -21,6 +26,17 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("index", range(len(README_BLOCKS)))
 def test_readme_python_block_runs(index):
     exec(compile(README_BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_has_commands():
+    assert len(README_COMMANDS) >= 7
+    assert all(line.startswith("orbitflex ") for line in README_COMMANDS)
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_runs(line, capsys):
+    assert cli.main(shlex.split(line)[1:]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _names_used(tree: ast.AST) -> set[str]:

@@ -1,15 +1,8 @@
-import errno
-import os
 import random
-import subprocess
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
-from orbitflex import cli, flexlab
 from orbitflex.exactpoly import (
     MultiPoly,
     ZeroPolynomialError,
@@ -17,15 +10,11 @@ from orbitflex.exactpoly import (
     linear_substitute,
     resultant,
 )
-from orbitflex.flexlab import check_smooth, flex_profile, random_unimodular
-from orbitflex.polyparse import parse_form
+from orbitflex.flexlab import random_unimodular
 
 from helpers import (
-    assert_reaped,
-    needs_fork,
     random_homogeneous,
     resultant_at_naturals,
-    serially,
     sylvester_first_subresultant,
     sylvester_matrix,
     sylvester_resultant,
@@ -257,114 +246,3 @@ def test_three_variables_rejected():
     u, v = (MultiPoly.var(B, n) for n in B)
     f = v + u
     assert resultant(f, f * (v**2 - u), "v").is_zero()
-
-
-# flexlab forks a child (``_beside``) for whole resultants: the second
-# smoothness elimination, and the flex projections after the current one.
-FERMAT_7 = "x^7 + y^7 + z^7"
-
-
-def smooth_curve(src: str):
-    return check_smooth(parse_form(src)[0])
-
-
-def in_child_only(owner: int, child_does, caller_does):
-    """A stand-in that runs ``child_does`` in a forked child and
-    ``caller_does`` in the process ``owner``."""
-    return lambda *args: (caller_does if os.getpid() == owner else child_does)(*args)
-
-
-@needs_fork
-@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-def test_exception_in_callers_half_kills_the_child_at_once(two_cpus, monkeypatch, error):
-    curve = smooth_curve(FERMAT_7)
-    want = flex_profile(curve)
-
-    def interrupted(*args):
-        raise error("interrupted")
-
-    # A child's projections that would take a minute.
-    stand_in = in_child_only(os.getpid(), lambda *args: time.sleep(60), interrupted)
-    with monkeypatch.context() as m:
-        m.setattr(flexlab, "_profile_once", stand_in)
-        forks, start = len(two_cpus), time.monotonic()
-        with pytest.raises(error):
-            flex_profile(curve)
-        assert time.monotonic() - start < 10
-    assert len(two_cpus) == forks + 1
-    assert_reaped(two_cpus)
-    assert flex_profile(curve) == want
-
-
-@needs_fork
-def test_child_dying_mid_job_is_replaced_by_serial_values(two_cpus, monkeypatch):
-    form = parse_form(FERMAT_7)[0]
-    want = serially(monkeypatch, lambda: flex_profile(check_smooth(form), seed=3))
-    owner = os.getpid()
-    dying = lambda *args: os._exit(1)  # noqa: E731
-    monkeypatch.setattr(flexlab, "_eliminate_z", in_child_only(owner, dying, flexlab._eliminate_z))
-    monkeypatch.setattr(flexlab, "_profile_once", in_child_only(owner, dying, flexlab._profile_once))
-    forks = len(two_cpus)
-    assert flex_profile(check_smooth(form), seed=3) == want
-    # one smoothness child; at seed 3 the first projection is rejected and
-    # the second certified, each with a child
-    assert len(two_cpus) == forks + 3
-
-
-@needs_fork
-def test_fork_failure_falls_back_to_serial_with_identical_output(two_cpus, monkeypatch, capsys):
-    argv = ["--json", "flexes", "x^8 + y^8 + z^8"]
-    assert serially(monkeypatch, lambda: cli.main(argv)) == 0
-    want = capsys.readouterr()
-    failed = []
-
-    def no_fork():
-        failed.append(1)
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert cli.main(argv) == 0
-    assert capsys.readouterr() == want
-    assert failed
-
-
-def test_one_cpu_never_forks(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-
-    def forbidden():
-        raise AssertionError("forked on one CPU")
-
-    monkeypatch.setattr(os, "fork", forbidden, raising=False)
-    assert flex_profile(smooth_curve(FERMAT_7), seed=3).counts == {5: 21}
-
-
-@needs_fork
-def test_profiles_on_several_threads_never_fork(two_cpus, monkeypatch):
-    """Smoothness and flex profiles of degree-7 curves, which fork on the
-    main thread, agree when run on threads, where nothing forks."""
-    sources = [FERMAT_7, "x^6*y + y^6*z + z^6*x", "x^7 + y^7 + z^7 + x^3*y^2*z^2"]
-    forms = [parse_form(src)[0] for src in sources]
-    sequential = [flex_profile(check_smooth(f), seed=4) for f in forms]
-    assert two_cpus
-
-    def forbidden():
-        raise AssertionError("forked with several threads running")
-
-    monkeypatch.setattr(os, "fork", forbidden)
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        threaded = list(pool.map(lambda f: flex_profile(check_smooth(f), seed=4), forms))
-    assert threaded == sequential
-
-
-def test_fresh_process_leaves_no_child_behind():
-    # A child still running would hold the captured stdout open, and the
-    # call would time out instead of returning.
-    proc = subprocess.run(
-        [sys.executable, "-m", "orbitflex", "flexes", "x^8 + y^8 + z^8"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("curve degree: 8\n")
-    assert proc.stderr == ""

@@ -31,7 +31,6 @@ from orbitflex.flexlab import (  # noqa: E402
     SingularCurveError,
     _int_poly,
     _integer_form,
-    _judge,
     _profile_once,
     check_smooth,
     random_unimodular,
@@ -69,8 +68,9 @@ def first_projection(form):
 
 
 def sympy_profile(d, g, h, factors):
-    """What _judge must make of _profile_once's record, decided by SymPy alone from the
-    squarefree factors of the resultant of g and h."""
+    """The reason that _profile_once must give, or its certified counts,
+    decided by SymPy alone from the squarefree factors of the resultant of
+    g and h."""
     if sum(k * f.degree() for f, k in factors) != 3 * d * (d - 2):
         return DEGREE_SHORT
     repeated = [f for f, k in factors if k > 1]
@@ -98,7 +98,8 @@ def check_projection(form, d):
     _, factors = ref.sqf_list()
     theirs = sorted((k, [int(c) for c in reversed(f.all_coeffs())]) for f, k in factors)
     assert squarefree_decompose(_int_poly(ours)) == theirs
-    profile = _judge(_profile_once(form, d, m), None)
+    reason, counts = _profile_once(form, d, m)
+    profile = reason or counts
     assert profile == sympy_profile(d, g, h, factors)
     return profile
 
