@@ -15,9 +15,10 @@ have integer coefficients and a nonzero constant top coefficient in
   remainder sequence over Z (Collins 1967; Brown & Traub 1971; Brown
   1978); the same sequence gives the first principal subresultant
   coefficient sres_1 on request;
-* the k values are reassembled by Newton interpolation on integer forward
-  differences scaled by (k-1)!, which is divided back out exactly at the
-  end (Collins 1971).
+* the k values are reassembled by Newton interpolation: for a polynomial
+  with integer coefficients the j-th forward difference D^j at any integer
+  is divisible by j!, so every Newton coefficient D^j / j! is an integer
+  and the whole computation stays in Z (Collins 1971).
 
 All arithmetic is on Python integers, and identical inputs give identical
 term maps.
@@ -26,7 +27,7 @@ term maps.
 from __future__ import annotations
 
 from functools import partial
-from math import factorial
+from operator import sub
 from typing import Callable, Sequence
 
 from .multipoly import MultiPoly
@@ -140,29 +141,26 @@ def prs_subresultants(a: IntPoly, b: IntPoly) -> tuple[int, int]:
 
 
 def _interpolate(values: Sequence[int]) -> IntPoly:
-    """Integer coefficients, lowest first, of the polynomial through
+    """Integer coefficients, lowest first, of the integer polynomial through
     (lo + i, values[i]) for i = 0 .. k-1, with lo = -floor(k/2).
 
-    Newton's forward-difference form sum_j D^j / j! * (t-lo)...(t-lo-j+1) is
-    accumulated by Horner's rule with every coefficient D^j multiplied by
-    (k-1)!/j!, so the sum stays integral; (k-1)! divides the result exactly.
+    In Newton's forward-difference form sum_j D^j / j! * (t-lo)...(t-lo-j+1)
+    every D^j / j! is an integer, because the polynomial has integer
+    coefficients; each is divided exactly, and the form is expanded by
+    Horner's rule with the small multipliers lo + j.  Raises ValueError
+    when a division is not exact: no integer polynomial fits the values.
     """
     k = len(values)
     lo = -(k // 2)
-    diffs = list(values)
-    for level in range(1, k):
-        for i in range(k - 1, level - 1, -1):
-            diffs[i] -= diffs[i - 1]
+    level, newton, fact = list(values), [], 1
+    for j in range(k):
+        newton += _divexact_scalar(level[:1], fact)
+        level = list(map(sub, level[1:], level))
+        fact *= j + 1
     coeffs: IntPoly = []
-    weight = 1  # (k-1)! / j!
     for j in range(k - 1, -1, -1):
-        shifted = [0] + coeffs
-        for i, c in enumerate(coeffs):
-            shifted[i] -= (j + lo) * c
-        shifted[0] += diffs[j] * weight
-        coeffs = shifted
-        weight *= j
-    return _divexact_scalar(_trim(coeffs), factorial(k - 1))
+        coeffs = list(map(sub, [newton[j]] + coeffs, [(lo + j) * c for c in coeffs] + [0]))
+    return _trim(coeffs)
 
 
 def _divexact_scalar(p: IntPoly, s: int) -> IntPoly:

@@ -18,8 +18,9 @@ coefficient, by Hensel lifting simple roots modulo a small prime.
 
 from __future__ import annotations
 
-from itertools import count, zip_longest
+from itertools import count, repeat, zip_longest
 from math import gcd as int_gcd
+from operator import mul, sub
 
 from .intfactor import is_prime
 
@@ -157,26 +158,23 @@ def _gcd_heuristic(f: IntPoly, g: IntPoly) -> IntPoly:
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Exact pseudo-remainder: lc(b)**(deg a - deg b + 1) * a reduced mod b.
 
-    ``b`` is nonzero and deg a >= deg b.  A reduction pass that drops the
-    degree by more than one still owes the skipped powers of lc(b); they
-    are applied at the end.
+    ``b`` has positive degree and deg a >= deg b.  After that scaling, long
+    division by b has integer quotient coefficients, each the top
+    coefficient divided by lc(b).  A normal step, deg a = n + 1 with
+    n = deg b, is formed in one pass: lc(b)^2 a - (lc(b) a_top y + q0) b
+    with q0 = lc(b) a_n - a_top b_(n-1), whose y^(n+1) and y^n terms cancel.
     """
-    a = list(a)
-    dd = _deg(b)
-    lead = b[-1]
-    owed = _deg(a) - dd + 1
-    while _deg(a) >= dd and a:
-        shift = _deg(a) - dd
+    lead, low = b[-1], b[:-1]
+    if len(a) == len(b) + 1:
         top = a[-1]
-        a = [c * lead for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= top * bc
-        _trim(a)
-        owed -= 1
-    if owed > 0:
-        scale = lead**owed
-        a = [c * scale for c in a]
-    return a
+        lead2, q1, q0 = lead * lead, lead * top, lead * a[-2] - top * b[-2]
+        return _trim([lead2 * ai - q1 * bp - q0 * bi for ai, bp, bi in zip(a, [0] + b, low)])
+    scale = lead ** (len(a) - len(b) + 1)
+    a = [c * scale for c in a]
+    for shift in range(len(a) - len(b), -1, -1):
+        q = a.pop() // lead
+        a[shift:] = map(sub, a[shift:], map(mul, low, repeat(q)))
+    return _trim(a)
 
 
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:

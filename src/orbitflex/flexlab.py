@@ -67,11 +67,11 @@ from .exactpoly import (
 RETRY_BUDGET = 8
 INITIAL_BOUND = 3
 INITIAL_SHEAR_BOUND = 2
-# Lowest curve degree that gets a forked child (``_beside``): where an
-# earlier split of one resultant's evaluation points began (100 points),
-# never tuned for whole projections.  On a shared 2-CPU Xeon VM a child
-# cost flex_profile 1.5-3 ms at d = 3, and at d = 5 and 6 it saved up to
-# 30% in some series of calls and nothing in others.
+# Lowest curve degree that gets a forked child (``_beside``).  On a shared
+# 2-CPU Xeon VM (Python 3.11), 100 in-process rounds of the benchmark's
+# random-lowdeg workload (500 ops, d = 3..6, seed 1) took 3.75 / 4.11 /
+# 3.99 s at 7, 4.00 / 4.97 / 4.04 s at 6 and 4.77 / 5.07 / 4.82 s at 5:
+# a fork costs more than a projection of degree 5 or 6 saves.
 PARALLEL_MIN_DEGREE = 7
 
 Point = tuple[int, int, int]
@@ -526,12 +526,13 @@ def _profile_once(form: MultiPoly, d: int, m: Sequence[Sequence[int]]) -> tuple:
     a single point over x0, so gcd(P, sres_1) = 1, with P the product of
     the squarefree factors of multiplicity >= 2, certifies the profile; it
     is checked factor by factor, and a failure gives NOT_SEPARATING with
-    the counts.
+    the counts.  The Hessian is divided by its integer content first, which
+    only scales R and sres_1 by constants.
     """
     g = linear_substitute(form, m)
     if g.evaluate((0, 1, 0)) == 0:
         return CENTRE_ON_CURVE, None
-    hess = hessian_determinant(g)
+    hess = _integer_form(hessian_determinant(g))
     if hess.is_zero() or hess.evaluate((0, 1, 0)) == 0:
         return HESSIAN_ZERO_AT_CENTRE, None
     if _degree_short(g, hess):

@@ -32,7 +32,6 @@ from orbitflex.exactpoly.unipoly import (
     _deg,
     _divides,
     _primitive,
-    _pseudo_rem,
     _trim,
 )
 from orbitflex import flexlab
@@ -223,7 +222,7 @@ def _interpolated_det(rows: list[list[MultiPoly]], rest: tuple[str, ...]) -> Mul
 def resultant_at_naturals(f: MultiPoly, g: MultiPoly, var: str) -> tuple[MultiPoly, MultiPoly]:
     """(Res, sres_1) in ``var`` of bivariate integer f, g from the same
     remainder sequences as ``resultant``, evaluated at x = 0 .. k-1 instead
-    of the balanced points and reassembled by ``interpolate_naturals``."""
+    of the balanced points and reassembled by ``interpolate_scaled``."""
     fi, gi = _dense_in(f, var), _dense_in(g, var)
     m, n = len(fi) - 1, len(gi) - 1
     k = n * f.total_degree() + m * g.total_degree() - m * n + 1
@@ -235,16 +234,16 @@ def resultant_at_naturals(f: MultiPoly, g: MultiPoly, var: str) -> tuple[MultiPo
     )
     rest = tuple(v for v in f.variables if v != var)
     return tuple(
-        MultiPoly(rest, {(i,): c for i, c in enumerate(interpolate_naturals(vs)) if c})
+        MultiPoly(rest, {(i,): c for i, c in enumerate(interpolate_scaled(vs, 0)) if c})
         for vs in (values, sres1)
     )
 
 
-def interpolate_naturals(values: list[int]) -> IntPoly:
+def interpolate_scaled(values: Sequence[int], lo: int) -> IntPoly:
     """Integer coefficients, lowest first, of the polynomial through
-    (t, values[t]) for t = 0 .. k-1.
+    (lo + i, values[i]) for i = 0 .. k-1.
 
-    Newton's forward-difference form sum_j D^j / j! * t(t-1)...(t-j+1) is
+    Newton's forward-difference form sum_j D^j / j! * (t-lo)...(t-lo-j+1) is
     accumulated by Horner's rule with every coefficient D^j multiplied by
     (k-1)!/j!, so the sum stays integral; (k-1)! divides the result exactly.
     """
@@ -258,11 +257,48 @@ def interpolate_naturals(values: list[int]) -> IntPoly:
     for j in range(k - 1, -1, -1):
         shifted = [0] + coeffs
         for i, c in enumerate(coeffs):
-            shifted[i] -= j * c
+            shifted[i] -= (j + lo) * c
         shifted[0] += diffs[j] * weight
         coeffs = shifted
         weight *= j
     return _divexact_scalar(_trim(coeffs), factorial(k - 1))
+
+
+def pseudo_rem_by_passes(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Exact pseudo-remainder: lc(b)**(deg a - deg b + 1) * a reduced mod b.
+
+    ``b`` is nonzero and deg a >= deg b.  Each pass scales all of a by
+    lc(b) and cancels its top coefficient; a pass that drops the degree by
+    more than one still owes the skipped powers of lc(b), applied at the end.
+    """
+    a = list(a)
+    dd = _deg(b)
+    lead = b[-1]
+    owed = _deg(a) - dd + 1
+    while _deg(a) >= dd and a:
+        shift = _deg(a) - dd
+        top = a[-1]
+        a = [c * lead for c in a]
+        for i, bc in enumerate(b):
+            a[shift + i] -= top * bc
+        _trim(a)
+        owed -= 1
+    if owed > 0:
+        scale = lead**owed
+        a = [c * scale for c in a]
+    return a
+
+
+def poly_mul(*polys: list[int]) -> list[int]:
+    """Product of integer coefficient lists (lowest degree first)."""
+    out = [1]
+    for p in polys:
+        prod = [0] * (len(out) + len(p) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 def gcd_prs(f: list[int], g: list[int]) -> list[int]:
@@ -271,7 +307,7 @@ def gcd_prs(f: list[int], g: list[int]) -> list[int]:
     a, b = (f, g) if _deg(f) >= _deg(g) else (g, f)
     a, b = _primitive(list(a)), _primitive(list(b))
     while b:
-        r = _primitive(_pseudo_rem(a, b))
+        r = _primitive(pseudo_rem_by_passes(a, b))
         a, b = b, r
     return _primitive(a)
 

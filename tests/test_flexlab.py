@@ -489,6 +489,27 @@ def test_degree_short_test_matches_resultant_degree():
     assert short >= 60
 
 
+def test_content_free_hessian_gives_the_same_records(monkeypatch):
+    # Dividing the Hessian by its integer content scales R and sres_1 by
+    # constants, which moves no degree, multiplicity or gcd.  Cyclic 4 is
+    # the Klein quartic.
+    sources = [f"x^{d} + y^{d} + z^{d}" for d in range(3, 10)]
+    sources += [f"x^{d-1}*y + y^{d-1}*z + z^{d-1}*x" for d in range(4, 9)]
+    curves = [curve(src) for src in sources]
+    rng = random.Random(33)
+    curves += [random_smooth_curve(rng, 3 + i % 4) for i in range(20)]
+    cases = []
+    for c in curves:
+        tried: set = set()
+        shears = [random_shear(rng, INITIAL_SHEAR_BOUND, tried) for _ in range(4)]
+        cases += [(flexlab._integer_form(c.form), c.degree, m) for m in shears]
+    content_free = [_profile_once(*case) for case in cases]
+    monkeypatch.setattr(flexlab, "_integer_form", lambda p: p)
+    assert [_profile_once(*case) for case in cases] == content_free
+    reasons = Counter(reason for reason, _ in content_free)
+    assert reasons[None] and reasons[DEGREE_SHORT] and reasons[NOT_SEPARATING], reasons
+
+
 def test_one_call_never_projects_twice_the_same_way(monkeypatch):
     # At bound 2 the box holds 64 shears, so over 200 seeds some second
     # draw would repeat the first if draws were not checked against it.

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
@@ -10,9 +12,15 @@ from orbitflex.exactpoly import (
     linear_substitute,
     resultant,
 )
+from orbitflex.exactpoly.resultant import _interpolate, prs_subresultants
+from orbitflex.exactpoly.unipoly import _pseudo_rem
 from orbitflex.flexlab import random_unimodular
 
 from helpers import (
+    interpolate_scaled,
+    newton_interpolate,
+    poly_mul,
+    pseudo_rem_by_passes,
     random_homogeneous,
     resultant_at_naturals,
     sylvester_first_subresultant,
@@ -207,6 +215,74 @@ def test_balanced_points_match_natural_points_oracle():
         want_res, want_sres1 = resultant_at_naturals(f, g, var)
         assert resultant(f, g, var).terms == want_res.terms, (f, g)
         assert first_subresultant(f, g, var).terms == want_sres1.terms, (f, g)
+
+
+def test_interpolation_matches_scaled_and_rational_oracles():
+    rng = random.Random(47)
+    for k in range(1, 41):
+        for bits in (1, 64, 2000):
+            # degree below k - 1 too, down to the zero polynomial
+            want = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(k - 2, k))]
+            while want and want[-1] == 0:
+                want.pop()
+            lo = -(k // 2)
+            points = list(range(lo, lo + k))
+            values = [sum(c * t**i for i, c in enumerate(want)) for t in points]
+            assert _interpolate(values) == interpolate_scaled(values, lo) == want, (k, bits)
+            rational = newton_interpolate(points, list(map(Fraction, values)))
+            assert rational == want + [0] * (k - len(want)), (k, bits)
+
+
+def test_interpolation_rejects_values_of_a_non_integer_polynomial():
+    # t(t-1)/2 is an integer at every integer t, but its coefficients are not.
+    for k in range(3, 12):
+        lo = -(k // 2)
+        with pytest.raises(ValueError, match="not exact"):
+            _interpolate([t * (t - 1) // 2 for t in range(lo, lo + k)])
+
+
+def test_remainder_sequence_matches_the_pass_by_pass_oracle(monkeypatch):
+    """The pseudo-remainder, with its one-pass normal step, gives what a pass
+    per unit of degree gap gives, alone and inside the remainder sequence,
+    on random pairs with degree gaps above 1, common factors, a first
+    argument of lower degree, and chains that skip degree 1."""
+    rng = random.Random(53)
+
+    def poly(deg, size):
+        return [rng.randint(-size, size) for _ in range(deg)] + [rng.choice([1, -1, 3, -7, size])]
+
+    pairs = []
+    for i in range(600):
+        size = rng.choice([3, 100, 2**40])
+        a, b = poly(rng.randint(1, 9), size), poly(rng.randint(1, 9), size)
+        if i % 5 == 0:  # common factor: zero remainder
+            shared = poly(rng.randint(1, 3), 5)
+            a, b = poly_mul(a, shared), poly_mul(b, shared)
+        if i % 7 == 0:  # polynomials in y^2: the chain skips degree 1
+            a, b = _even(a), _even(b)
+        pairs.append((a, b))
+    got = [prs_subresultants(a, b) for a, b in pairs]
+    monkeypatch.setattr(import_module("orbitflex.exactpoly.resultant"), "_pseudo_rem", pseudo_rem_by_passes)
+    kinds = Counter()
+    for (a, b), mine in zip(pairs, got):
+        want = prs_subresultants(a, b)
+        assert mine == want, (a, b)
+        big, small = (a, b) if len(a) >= len(b) else (b, a)
+        assert _pseudo_rem(big, small) == pseudo_rem_by_passes(big, small), (a, b)
+        kinds["normal"] += len(big) == len(small) + 1
+        kinds["swap"] += len(a) < len(b)
+        kinds["gap"] += abs(len(a) - len(b)) > 1
+        kinds["zero"] += want[0] == 0
+        kinds["skip"] += want[1] == 0 and want[0] != 0
+    assert min(kinds.values()) >= 30, kinds
+
+
+def _even(p):
+    """p(y^2)."""
+    out = []
+    for c in p:
+        out += [c, 0]
+    return out[:-1]
 
 
 def test_first_subresultant_needs_positive_degrees():

@@ -8,7 +8,7 @@ from orbitflex.exactpoly import ZeroPolynomialError, gcd, rational_roots, square
 from orbitflex.exactpoly import unipoly
 from orbitflex.exactpoly.unipoly import _divides, _primitive
 
-from helpers import gcd_multimodular, gcd_prs, rational_roots_by_divisors
+from helpers import gcd_multimodular, gcd_prs, poly_mul, rational_roots_by_divisors
 
 P = 2**31 - 1  # the first prime of the gcd_multimodular oracle
 
@@ -18,19 +18,8 @@ def lin(root: int) -> list[int]:
     return [-root, 1]
 
 
-def mul(*polys: list[int]) -> list[int]:
-    out = [1]
-    for p in polys:
-        prod = [0] * (len(out) + len(p) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(p):
-                prod[i + j] += a * b
-        out = prod
-    return out
-
-
 def test_squarefree_known_example():
-    f = mul(lin(1), lin(1), lin(-1))
+    f = poly_mul(lin(1), lin(1), lin(-1))
     assert squarefree_decompose(f) == [(1, lin(-1)), (2, lin(1))]
 
 
@@ -39,7 +28,7 @@ def test_squarefree_pure_power():
 
 
 def test_squarefree_of_squarefree_input():
-    f = mul(lin(1), lin(2), lin(-3))
+    f = poly_mul(lin(1), lin(2), lin(-3))
     assert squarefree_decompose(f) == [(1, f)]
 
 
@@ -56,17 +45,17 @@ def test_squarefree_reconstructs_input_up_to_unit():
         f = [rng.choice([2, 3, -5])]
         for root, mult in zip(roots, mults):
             for _ in range(mult):
-                f = mul(f, lin(root))
+                f = poly_mul(f, lin(root))
         product = [1]
         for i, g in squarefree_decompose(f):
             for _ in range(i):
-                product = mul(product, g)
+                product = poly_mul(product, g)
         # f = (lc f / lc product) * product
         assert [product[-1] * c for c in f] == [f[-1] * c for c in product]
 
 
 def test_squarefree_factors_pairwise_coprime():
-    f = mul(lin(1), lin(1), lin(2), lin(2), lin(2), lin(-4))
+    f = poly_mul(lin(1), lin(1), lin(2), lin(2), lin(2), lin(-4))
     dec = squarefree_decompose(f)
     mults = [i for i, _ in dec]
     assert mults == sorted(set(mults))
@@ -78,11 +67,11 @@ def test_squarefree_factors_pairwise_coprime():
 def test_gcd_basic_properties():
     rng = random.Random(17)
     for _ in range(20):
-        f = mul(lin(rng.randint(-5, 5)), lin(rng.randint(-5, 5)))
+        f = poly_mul(lin(rng.randint(-5, 5)), lin(rng.randint(-5, 5)))
         g = lin(rng.randint(-5, 5))
-        h = mul(lin(rng.randint(-5, 5)), [rng.randint(1, 3)])
-        left = gcd(mul(f, h), mul(g, h))
-        right = mul(gcd(f, g), h)
+        h = poly_mul(lin(rng.randint(-5, 5)), [rng.randint(1, 3)])
+        left = gcd(poly_mul(f, h), poly_mul(g, h))
+        right = poly_mul(gcd(f, g), h)
         assert left == _primitive(right)
 
 
@@ -102,7 +91,7 @@ def test_large_multiplicity_structure():
     parts = {1: lin(5), 2: lin(-2), 3: lin(7), 4: lin(0)}
     for mult, g in parts.items():
         for _ in range(mult):
-            f = mul(f, g)
+            f = poly_mul(f, g)
     dec = dict(squarefree_decompose(f))
     assert set(dec) == {1, 2, 3, 4}
     for mult, g in parts.items():
@@ -118,8 +107,8 @@ def test_modular_gcd_agrees_with_pseudo_remainder_gcd():
         ]
 
     def with_shared(shared: list[int], deg: int, bound: int) -> tuple:
-        f = mul(shared, rand_poly(rng.randint(0, deg), bound))
-        return f, mul(shared, rand_poly(rng.randint(0, deg), bound))
+        f = poly_mul(shared, rand_poly(rng.randint(0, deg), bound))
+        return f, poly_mul(shared, rand_poly(rng.randint(0, deg), bound))
 
     pairs = [with_shared(rand_poly(rng.randint(0, 3), 9), 5, 50) for _ in range(40)]
     pairs += [  # large common factors
@@ -133,13 +122,13 @@ def test_modular_gcd_agrees_with_pseudo_remainder_gcd():
         # coprime over Q, equal mod P
         ([0, 1], [-P, 1]),
         ([1, 0, 1], [1 + P, 0, 1]),
-        (mul([3, 1], [0, 1]), mul([3, 1], [-P, 1])),
+        (poly_mul([3, 1], [0, 1]), poly_mul([3, 1], [-P, 1])),
         # P divides a leading coefficient
         ([1, P], [1, 1]),
         ([1, 1], [1, P]),
-        (mul([3, P], [5, 2, 1]), mul([-1, 7], [5, 2, 1])),
-        (mul([1, P], [2, 1]), mul([1, 5 * P], [2, 1])),
-        (mul([1, P], [1, 1]), mul([1, P], [2, 1])),  # the gcd vanishes mod P
+        (poly_mul([3, P], [5, 2, 1]), poly_mul([-1, 7], [5, 2, 1])),
+        (poly_mul([1, P], [2, 1]), poly_mul([1, 5 * P], [2, 1])),
+        (poly_mul([1, P], [1, 1]), poly_mul([1, P], [2, 1])),  # the gcd vanishes mod P
         # constants and zero
         ([], []),
         ([], [4, -6, 2]),
@@ -190,7 +179,7 @@ def test_modular_gcd_huge_coefficients():
     f = [0, 10**30, 7]
     g = [5, 0, 0, 11]
 
-    h = gcd(mul(shared, f), mul(shared, g))
+    h = gcd(poly_mul(shared, f), poly_mul(shared, g))
     # f and g are coprime, so the gcd is the (primitive) shared factor
     assert h == shared
 
@@ -198,7 +187,7 @@ def test_modular_gcd_huge_coefficients():
 def _planted(rng, roots, others):
     """content * prod (q x - a) over the roots a/q, times the ``others``."""
     content = [rng.choice([-6, -2, -1, 1, 3, 10])]
-    return mul(content, *([-r.numerator, r.denominator] for r in roots), *others)
+    return poly_mul(content, *([-r.numerator, r.denominator] for r in roots), *others)
 
 
 # x^2 - 2, x^2 + x + 1, x^3 - 3, 9x^2 + 5: no rational root.
@@ -240,6 +229,6 @@ def test_rational_roots_with_large_prime_factors():
 
 def test_rational_roots_order_zero_among_negative_and_positive():
     # x (x + 2) (2x - 1): the root 0 takes its place in the order.
-    assert rational_roots(mul([0, 1], lin(-2), [-1, 2])) == [(-2, 1), (0, 1), (1, 2)]
+    assert rational_roots(poly_mul([0, 1], lin(-2), [-1, 2])) == [(-2, 1), (0, 1), (1, 2)]
     assert rational_roots([0, 0, 0, 1]) == [(0, 1)]
     assert rational_roots([7]) == []
