@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from typing import Sequence
 
 from . import chowcalc, orbitformulas
@@ -222,6 +223,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache  # built once per process; parse_args leaves the tree unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitflex",

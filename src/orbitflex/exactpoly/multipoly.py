@@ -6,7 +6,9 @@ A polynomial is a map from exponent vectors to nonzero coefficients:
 
 Every coefficient is a Python ``int``; any other coefficient type raises
 ``TypeError`` (a ``bool`` or other ``int`` subclass is stored as a plain
-``int``).  Every operation is exact; there is no floating-point mode.
+``int``).  The public constructor checks every term; the results of this
+module's own arithmetic are built from terms it made itself and are not
+checked again.  Every operation is exact; there is no floating-point mode.
 Instances are immutable: all arithmetic returns new objects, and values
 can be shared freely across threads.  Sums, negations, powers and coerced
 constants keep the class of ``self``, so a subclass that only changes
@@ -26,7 +28,7 @@ substitution).
 from __future__ import annotations
 
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 from .unipoly import _pack, _unpack
@@ -50,6 +52,13 @@ class SingularMatrixError(ValueError):
     """A linear substitution matrix is not invertible over the rationals."""
 
 
+def _distinct(variables: Sequence[str]) -> tuple[str, ...]:
+    vs = tuple(variables)
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"duplicate variable names in {vs}")
+    return vs
+
+
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
     """Sort key for graded-lexicographic order (ascending)."""
     return (sum(exps), exps)
@@ -61,9 +70,7 @@ class MultiPoly:
     __slots__ = ("variables", "_terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, int]):
-        vs = tuple(variables)
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"duplicate variable names in {vs}")
+        vs = _distinct(variables)
         nvars = len(vs)
         clean: dict[Exponent, int] = {}
         for exps, c in terms.items():
@@ -82,6 +89,18 @@ class MultiPoly:
         object.__setattr__(self, "_terms", {e: c for e, c in clean.items() if c})
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _from_terms(cls, variables: tuple[str, ...], terms: dict[Exponent, int]) -> "MultiPoly":
+        """From a term map built inside ``exactpoly``, whose entries are valid:
+        only zero coefficients are dropped.  A subclass keeps its constructor."""
+        if cls is not MultiPoly:
+            return cls(variables, terms)
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "_terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "_hash", None)
+        return p
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
 
@@ -95,16 +114,17 @@ class MultiPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value: int) -> "MultiPoly":
-        z = (0,) * len(tuple(variables))
-        return cls(variables, {z: value})
+        vs = _distinct(variables)
+        terms = {(0,) * len(vs): value}
+        return cls._from_terms(vs, terms) if type(value) is int else cls(vs, terms)
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
-        vs = tuple(variables)
+        vs = _distinct(variables)
         if name not in vs:
             raise UnknownVariableError(f"variable {name!r} not among {vs}")
         exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: 1})
+        return cls._from_terms(vs, {exps: 1})
 
     @classmethod
     def monomial(
@@ -194,12 +214,12 @@ class MultiPoly:
         out = dict(self._terms)
         for e, c in o._terms.items():
             out[e] = out.get(e, 0) + c
-        return type(self)(self.variables, out)
+        return type(self)._from_terms(self.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return type(self)(self.variables, {e: -c for e, c in self._terms.items()})
+        return type(self)._from_terms(self.variables, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "MultiPoly":
         o = self._coerce(other)
@@ -222,9 +242,9 @@ class MultiPoly:
         out: dict[Exponent, int] = {}
         for ea, ca in self._terms.items():
             for eb, cb in o._terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 out[e] = out.get(e, 0) + ca * cb
-        return MultiPoly(self.variables, out)
+        return MultiPoly._from_terms(self.variables, out)
 
     __rmul__ = __mul__
 
@@ -268,7 +288,7 @@ class MultiPoly:
             d = list(e)
             d[i] -= 1
             out[tuple(d)] = c * e[i]
-        return MultiPoly(self.variables, out)
+        return MultiPoly._from_terms(self.variables, out)
 
     def evaluate(self, values: Sequence[int]) -> int:
         """Evaluate at an integer point, one value per variable."""
@@ -296,7 +316,7 @@ class MultiPoly:
         for e, c in self._terms.items():
             r = e[:i] + e[i + 1 :]
             out[r] = out.get(r, 0) + c
-        return MultiPoly(rest, out)
+        return MultiPoly._from_terms(rest, out)
 
     def coefficients_in(self, var: str) -> "list[MultiPoly]":
         """Dense coefficient list in one variable, lowest power first.
@@ -313,7 +333,7 @@ class MultiPoly:
         for e, c in self._terms.items():
             r = e[:i] + e[i + 1 :]
             buckets[e[i]][r] = buckets[e[i]].get(r, 0) + c
-        return [MultiPoly(rest, b) for b in buckets]
+        return [MultiPoly._from_terms(rest, b) for b in buckets]
 
     # ------------------------------------------------------------------
     # Printing
@@ -369,7 +389,7 @@ def det3(m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 
 def _unpack_form(
-    packed: int, b: int, width: int, degree: int, variables: Sequence[str]
+    packed: int, b: int, width: int, degree: int, variables: tuple[str, ...]
 ) -> MultiPoly:
     """The ternary form of the given degree whose coefficient of
     x**i * y**j * z**(degree-i-j) is the balanced base-2**b digit of
@@ -381,7 +401,7 @@ def _unpack_form(
         if c:
             i, j = divmod(slot, width)
             out[i, j, degree - i - j] = c * sign
-    return MultiPoly(variables, out)
+    return MultiPoly._from_terms(variables, out)
 
 
 def hessian_determinant(form: MultiPoly) -> MultiPoly:

@@ -95,7 +95,7 @@ def _dense_in(p: MultiPoly, var: str) -> list[IntPoly]:
 
 def _from_values(values: Sequence[int], variables: tuple[str, ...]) -> MultiPoly:
     """The polynomial through the balanced points of ``_interpolate``."""
-    return MultiPoly(variables, {(i,): c for i, c in enumerate(_interpolate(values)) if c})
+    return MultiPoly._from_terms(variables, {(i,): c for i, c in enumerate(_interpolate(values))})
 
 
 def _horner(coeffs: Sequence[int], t: int) -> int:

@@ -26,12 +26,15 @@ bit length of N exceeds MAX_CONSTANT_POWER_BITS, for N > 1 the larger of
 the base's coefficient 1-norm and denominator, so no power builds a
 coefficient or denominator longer than that.
 
-Denominators are cleared: a partial result is an integer polynomial P
-and a denominator D > 0, and the gcd of D and P's content is divided out
-at the end.  So the parsed polynomial is the expression times the lcm of
-its coefficient denominators (a form scaled by a constant defines the
-same curve), and integer input parses to itself.  A parsed form must be
-homogeneous and nonzero; ``parse_form`` returns it with its degree.
+Denominators are cleared: a partial result is an integer term map P,
+``{(i, j, k): c}`` for the nonzero terms c*x^i*y^j*z^k, and a denominator
+D > 0, and the gcd of D and P's content is divided out at the end.  So
+the parsed polynomial is the expression times the lcm of its coefficient
+denominators (a form scaled by a constant defines the same curve), and
+integer input parses to itself.  Sums, products and powers work on the
+term maps; one ``MultiPoly`` is built, and checked, from the final map.
+A parsed form must be homogeneous and nonzero; ``parse_form`` returns it
+with its degree.
 """
 
 from __future__ import annotations
@@ -57,15 +60,45 @@ class UnknownVariableError(ParseError):
     """A letter other than x, y, z appeared in the expression."""
 
 
-Scaled = tuple[MultiPoly, int]  # (P, D) stands for P / D, with D > 0
+Terms = dict[tuple[int, int, int], int]  # nonzero coefficients only
+Scaled = tuple[Terms, int]  # (P, D) stands for P / D, with D > 0
+_ONE = (0, 0, 0)
+_UNIT = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 
 
-def _reduced(p: MultiPoly, den: int) -> Scaled:
+def _reduced(p: Terms, den: int) -> Scaled:
     """(P/g, D/g) for g the gcd of D and the coefficients of P."""
     if den == 1:
         return p, den
-    g = gcd(den, *p.terms.values())
-    return MultiPoly(p.variables, {e: c // g for e, c in p.terms.items()}), den // g
+    g = gcd(den, *p.values())
+    return {e: c // g for e, c in p.items()}, den // g
+
+
+def _sum(p: Terms, a: int, q: Terms, b: int) -> Terms:
+    """a*P + b*Q."""
+    out = {e: a * c for e, c in p.items()}
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + b * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _product(p: Terms, q: Terms) -> Terms:
+    out: Terms = {}
+    for (a0, a1, a2), ca in p.items():
+        for (b0, b1, b2), cb in q.items():
+            e = (a0 + b0, a1 + b1, a2 + b2)
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _power(p: Terms, n: int) -> Terms:
+    result = {_ONE: 1}
+    while n:
+        if n & 1:
+            result = _product(result, p)
+        p = _product(p, p) if n > 1 else p
+        n >>= 1
+    return result
 
 
 class _Token:
@@ -131,12 +164,10 @@ class _Parser:
     def expr(self) -> Scaled:
         acc, den = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
+            sign = 1 if self.advance().kind == "+" else -1
             rhs, rden = self.term()
-            if rden != den:
-                common = lcm(den, rden)
-                acc, rhs, den = acc * (common // den), rhs * (common // rden), common
-            acc = acc + rhs if op.kind == "+" else acc - rhs
+            common = lcm(den, rden)
+            acc, den = _sum(acc, common // den, rhs, sign * common // rden), common
         return acc, den
 
     # term = signed { "*" signed | factor }; a bare "-" never continues a
@@ -152,13 +183,13 @@ class _Parser:
                 rhs, rden = self.factor()
             else:
                 return acc, den
-            acc, den = acc * rhs, den * rden
+            acc, den = _product(acc, rhs), den * rden
 
     def signed(self) -> Scaled:
         if self.peek().kind == "-":
             self.advance()
             p, den = self.signed()
-            return -p, den
+            return {e: -c for e, c in p.items()}, den
         return self.factor()
 
     # factor = atom [ "^" natural ]
@@ -170,27 +201,28 @@ class _Parser:
         tok = self.expect("num")
         exponent = int(tok.value)
         p, den = _reduced(*base)
-        bound = max(sum(map(abs, p.terms.values())), den)
+        bound = max(sum(map(abs, p.values())), den)
         if bound > 1 and exponent * bound.bit_length() > MAX_CONSTANT_POWER_BITS:
             raise ParseError(f"power exceeds {MAX_CONSTANT_POWER_BITS} coefficient bits", tok.pos)
-        return p**exponent, den**exponent
+        return _power(p, exponent), den**exponent
 
     def atom(self) -> Scaled:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            value = MultiPoly.const(CURVE_VARS, int(tok.value))
+            value = int(tok.value)
+            terms = {_ONE: value} if value else {}
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.expect("num")
                 den = int(den_tok.value)
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", den_tok.pos)
-                return value, den
-            return value, 1
+                return terms, den
+            return terms, 1
         if tok.kind == "var":
             self.advance()
-            return MultiPoly.var(CURVE_VARS, tok.value), 1
+            return {_UNIT[tok.value]: 1}, 1
         if tok.kind == "(":
             self.advance()
             inner = self.expr()
@@ -212,7 +244,7 @@ def parse_expression(text: str) -> MultiPoly:
     end = parser.peek()
     if end.kind != "end":
         raise ParseError(f"unexpected {end.value!r} after expression", end.pos)
-    return _reduced(poly, den)[0]
+    return MultiPoly(CURVE_VARS, _reduced(poly, den)[0])
 
 
 def parse_form(text: str) -> tuple[MultiPoly, int]:

@@ -1,6 +1,7 @@
 """Shared generators for randomized tests (all deterministic via seeds),
 the reference algorithms that differential tests compare against, the
-pointwise flex-order oracle, and checks on forked children."""
+pointwise flex-order oracle, the expression parser on ``MultiPoly``
+arithmetic, and checks on forked children."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from orbitflex.exactpoly.unipoly import (
 )
 from orbitflex import flexlab
 from orbitflex.flexlab import PlaneCurve, SingularCurveError, check_smooth, random_unimodular
+from orbitflex.polyparse import MAX_CONSTANT_POWER_BITS, ParseError, _tokenize
 
 CURVE_VARS = ("x", "y", "z")
 
@@ -452,6 +454,156 @@ def _divisors(n: int, cap: int = 4096) -> list[int] | None:
         if len(divs) > cap:
             return None
     return divs
+
+
+# ----------------------------------------------------------------------
+# The expression parser on MultiPoly arithmetic
+# ----------------------------------------------------------------------
+
+Scaled = tuple[MultiPoly, int]  # (P, D) stands for P / D, with D > 0
+
+
+def _reduced(p: MultiPoly, den: int) -> Scaled:
+    """(P/g, D/g) for g the gcd of D and the coefficients of P."""
+    if den == 1:
+        return p, den
+    g = gcd(den, *p.terms.values())
+    return MultiPoly(p.variables, {e: c // g for e, c in p.terms.items()}), den // g
+
+
+class _MultiPolyParser:
+    """The grammar of ``orbitflex.polyparse`` on the same tokens, with every
+    partial result a ``MultiPoly`` over x, y, z and a denominator."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def advance(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.value or 'end of input'!r}", tok.pos)
+        return self.advance()
+
+    def expr(self) -> Scaled:
+        acc, den = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.advance()
+            rhs, rden = self.term()
+            if rden != den:
+                common = lcm(den, rden)
+                acc, rhs, den = acc * (common // den), rhs * (common // rden), common
+            acc = acc + rhs if op.kind == "+" else acc - rhs
+        return acc, den
+
+    def term(self) -> Scaled:
+        acc, den = self.signed()
+        while True:
+            tok = self.peek()
+            if tok.kind == "*":
+                self.advance()
+                rhs, rden = self.signed()
+            elif tok.kind in ("num", "var", "("):
+                rhs, rden = self.factor()
+            else:
+                return acc, den
+            acc, den = acc * rhs, den * rden
+
+    def signed(self) -> Scaled:
+        if self.peek().kind == "-":
+            self.advance()
+            p, den = self.signed()
+            return -p, den
+        return self.factor()
+
+    def factor(self) -> Scaled:
+        base = self.atom()
+        if self.peek().kind != "^":
+            return base
+        self.advance()
+        tok = self.expect("num")
+        exponent = int(tok.value)
+        p, den = _reduced(*base)
+        bound = max(sum(map(abs, p.terms.values())), den)
+        if bound > 1 and exponent * bound.bit_length() > MAX_CONSTANT_POWER_BITS:
+            raise ParseError(f"power exceeds {MAX_CONSTANT_POWER_BITS} coefficient bits", tok.pos)
+        return p**exponent, den**exponent
+
+    def atom(self) -> Scaled:
+        tok = self.peek()
+        if tok.kind == "num":
+            self.advance()
+            value = MultiPoly.const(CURVE_VARS, int(tok.value))
+            if self.peek().kind == "/":
+                self.advance()
+                den_tok = self.expect("num")
+                den = int(den_tok.value)
+                if den == 0:
+                    raise ParseError("zero denominator in rational literal", den_tok.pos)
+                return value, den
+            return value, 1
+        if tok.kind == "var":
+            self.advance()
+            return MultiPoly.var(CURVE_VARS, tok.value), 1
+        if tok.kind == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect(")")
+            return inner
+        raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}", tok.pos)
+
+
+def parse_expression_by_multipoly(text: str) -> MultiPoly:
+    """``polyparse.parse_expression`` with MultiPoly arithmetic throughout:
+    the expression times the lcm of its coefficient denominators."""
+    if not text.strip():
+        raise ParseError("empty expression", 0)
+    parser = _MultiPolyParser(_tokenize(text))
+    try:
+        poly, den = parser.expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", 0) from None
+    end = parser.peek()
+    if end.kind != "end":
+        raise ParseError(f"unexpected {end.value!r} after expression", end.pos)
+    return _reduced(poly, den)[0]
+
+
+def random_expression(rng: random.Random, depth: int = 6) -> str:
+    """Expression text over x, y, z: integer and rational literals,
+    parentheses, powers, juxtaposition, chains of unary minus and sums that
+    cancel, nested at most ``depth`` deep so that it stays small."""
+    if depth == 0 or rng.random() < 0.1:
+        leaf = rng.randrange(6)
+        if leaf < 3:
+            return CURVE_VARS[leaf]
+        return str(rng.choice([0, 1, 2, 3, 12])) + (f"/{rng.randint(0, 12)}" if leaf == 5 else "")
+
+    def sub() -> str:
+        return random_expression(rng, depth - 1)
+
+    kind = rng.choice("(^^++***-0")
+    if kind == "(":
+        return f"({sub()})"
+    if kind == "^":
+        base = random_expression(rng, 0) if rng.random() < 0.5 else f"({sub()})"
+        return f"{base}^{rng.randint(0, 3)}"
+    if kind == "+":
+        return f"{sub()} {rng.choice('+-')} {sub()}"
+    if kind == "*":
+        return f"{sub()}{rng.choice(['*', '', ' '])}{sub()}"
+    if kind == "-":
+        return "-" * rng.randint(1, 4) + sub()
+    part = sub()
+    return f"{part} - ({part})" if rng.random() < 0.5 else f"({part}) - {part}"
 
 
 # ----------------------------------------------------------------------

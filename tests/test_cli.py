@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from orbitflex import cli
 from orbitflex.cli import main
 
 KLEIN = "x^3*y + y^3*z + z^3*x"
@@ -303,3 +304,52 @@ def test_output_bytes_match_golden(capsys):
     golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
     for case in golden:
         assert run(capsys, *case["argv"]) == (case["code"], case["out"], case["err"]), case["argv"]
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call; a SystemExit
+    from argparse counts as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_reused_with_nothing_kept_between_calls(capsys, monkeypatch, tmp_path):
+    # One long sequence on the parser built once per process.  Every call
+    # must print what a freshly built parser prints, and what the golden
+    # file holds where it has the call (a missing --seed is --seed 0), so
+    # no curve, --aut, --from-file or --seed of an earlier call survives.
+    assert cli._build_parser() is cli._build_parser()
+    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    want = {tuple(case["argv"]): (case["code"], case["out"], case["err"]) for case in golden}
+    path = tmp_path / "curve.txt"
+    path.write_text("x^3 + y^3 + z^3\n")
+    seq = []
+    for case in golden:
+        argv = case["argv"]
+        seq += [argv, argv[2:]]  # the same call at the default seed
+        if argv[2:4] == ["degree", "x^4+y^4+z^4"]:
+            seq += [["degree", "x^4+y^4+z^4"],  # usage error: --aut is required
+                    ["predegree", "x^4+y^4+z^4"],  # no aut order printed
+                    ["flexes", "--from-file", str(path)],
+                    ["flexes", "x^4+y^4+z^4", "--from-file", str(path)],
+                    ["--json", "predegree"],  # no curve given
+                    ["predegree", "x^3+y^3+z^3"],
+                    ["--help"], ["degree", "--help"], ["bound", "x"], ["frobnicate"]]
+    for json_flag in ([], ["--json"]):
+        seq += [[*json_flag, "table", "--from", "3", "--to", "6"], [*json_flag, "verify-chow"],
+                [*json_flag, "pgl2", "--multiplicities", "2,1,1"], [*json_flag, "bound", "5"],
+                [*json_flag, "--seed", "4", "flexes", "--from-file", str(path)]]
+    codes = set()
+    for argv in seq:
+        got = outcome(capsys, argv)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            assert outcome(capsys, argv) == got, argv
+        default_seed = argv if argv[:1] == ["--seed"] else ["--seed", "0", *argv]
+        assert got == want.get(tuple(default_seed), got), argv
+        codes.add(got[0])
+    assert codes == {0, 1, 2}

@@ -267,3 +267,45 @@ def test_integral_coefficients_stay_int():
     cleared = parse_expression("1/2x^4 + 1/3x*y^3 + 5/7y*z^3")
     assert cleared == 21 * X**4 + 14 * X * Y**3 + 30 * Y * Z**3
     assert flex_profile(check_smooth(cleared)) == flex_profile(check_smooth(6 * cleared))
+
+
+def assert_valid(r):
+    # What the public constructor checks: tuple exponents of the right
+    # length, nonnegative, and nonzero plain-int coefficients.
+    assert r == MultiPoly(r.variables, r.terms)
+    for e, c in r.terms.items():
+        assert type(c) is int and c != 0
+        assert type(e) is tuple and len(e) == len(r.variables)
+        assert all(type(k) is int and k >= 0 for k in e)
+
+
+def test_arithmetic_results_are_valid_without_revalidation():
+    # Results that MultiPoly builds itself skip the public constructor's
+    # checks; each must still be what that constructor would build.
+    from orbitflex.chowcalc import GradedClass, variable
+    from orbitflex.exactpoly import resultant
+
+    rng = random.Random(34)
+    results = []
+    for _ in range(60):
+        a, b = random_multipoly(rng), random_multipoly(rng)
+        results += [a + b, a - b, a * b, -a, a ** rng.randint(0, 3), 3 - a, a + True, 2 * a]
+        results += [a.diff(v) for v in V] + [a.dehomogenize("z"), *a.coefficients_in("y")]
+        form = random_homogeneous(rng, rng.randint(2, 5))
+        results += [hessian_determinant(form), linear_substitute(form, random_unimodular(rng, 3))]
+    xy = ("x", "y")
+    for _ in range(30):
+        f, g = (random_multipoly(rng, xy, max_degree=2) + rng.choice([1, -2]) * MultiPoly.var(xy, "y") ** 3
+                for _ in range(2))
+        sres1 = []
+        results += [resultant(f, g, "y", first_subresultant=sres1), sres1[0]()]
+    assert sum(r.is_zero() for r in results) > 10
+    for r in results:
+        assert type(r) is MultiPoly
+        assert_valid(r)
+
+    k, h, d = variable("k"), variable("h"), variable("d")
+    c = 1 + k - 2 * d * h
+    for r in (c + k, c - 1, -c, c * h, 3 * c, c**3, c.inverse(), (c * k) * (k - k)):
+        assert type(r) is GradedClass
+        assert_valid(r)

@@ -10,7 +10,13 @@ from orbitflex.polyparse import (
     parse_expression,
     parse_form,
 )
-from helpers import CURVE_VARS, random_homogeneous, random_multipoly
+from helpers import (
+    CURVE_VARS,
+    parse_expression_by_multipoly,
+    random_expression,
+    random_homogeneous,
+    random_multipoly,
+)
 
 V = CURVE_VARS
 X = MultiPoly.var(V, "x")
@@ -148,3 +154,35 @@ def test_roundtrip_with_fraction_coefficients():
 def test_reported_degree_matches_common_degree():
     _, d = parse_form("x^5*y + 2y^6 - z^6")
     assert d == 6
+
+
+def outcome(parse, text):
+    """The parsed polynomial, or the class, text and position of the
+    ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def test_term_maps_parse_as_multipoly_arithmetic():
+    # Differential test against the parser whose partial results are
+    # MultiPolys: the same polynomial, or the same error at the same place.
+    rng = random.Random(34)
+    texts = ["5z* (4x)^3591443783", "1/0x^3", "(" * 2000 + "x" + ")" * 2000,
+             "x + " + "-" * 5000 + "y", "   ", "x^^3", "x/y", "x^3 + w^3", "x^-2",
+             "2^32768", "2^32769", "x*(1/2)^32769", "(2^300)^300", "(1/3x)^32769",
+             "(-1)^999999 + 0^999999", "x^70000 - x^70000"]
+    for _ in range(2000):
+        text = random_expression(rng)
+        if rng.random() < 0.25:  # a stray, missing or replaced character
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice("+-*^/()xyzw0 1#") + text[i + rng.randint(0, 1):]
+        texts.append(text)
+    results = [outcome(parse_expression_by_multipoly, text) for text in texts]
+    for text, want in zip(texts, results):
+        assert outcome(parse_expression, text) == want, text
+    errors = [r for r in results if isinstance(r, tuple)]
+    zeros = [r for r in results if isinstance(r, MultiPoly) and r.is_zero()]
+    assert len(errors) > 300 and len(zeros) > 100
+    assert len({r[1] for r in errors}) > 8
