@@ -276,18 +276,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SingularCurveError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        if isinstance(exc, NonDivisibleError):
-            print(f"inconsistent: {exc}", file=sys.stderr)
-            return EXIT_INCONSISTENT
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (_Inconsistent, RuntimeError) as exc:
+    except (NonDivisibleError, _Inconsistent, RuntimeError) as exc:
         print(f"inconsistent: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except (SingularCurveError, OSError, ValueError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ Grammar (EBNF)::
     rational = natural [ "/" natural ] ;
     variable = "x" | "y" | "z" ;
 
-Exponents are nonnegative integer literals; "/" only appears inside
-numeric literals.  Whitespace is insignificant.  Every rejection carries
-the offending position; that includes a power whose exponent times the
+A natural is a run of decimal digits, as ``int`` reads them; "/" only
+appears inside numeric literals.  Whitespace is insignificant, and any
+other character is a syntax error.  Every rejection carries the
+offending position; that includes a power whose exponent times the
 bit length of N exceeds MAX_CONSTANT_POWER_BITS, for N > 1 the larger of
 the base's coefficient 1-norm and denominator, so no power builds a
 coefficient or denominator longer than that.
@@ -39,6 +40,7 @@ with its degree.
 
 from __future__ import annotations
 
+import re
 from math import gcd, lcm
 
 from .exactpoly import MultiPoly, NonHomogeneousError
@@ -101,70 +103,49 @@ def _power(p: Terms, n: int) -> Terms:
     return result
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value: str, pos: int):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
+# A token is (kind, text, position); kind is "num" (decimal digits, as
+# int() reads them), "var", "end" (text "") or the character itself.
+Token = tuple[str, str, int]
+_TOKEN = re.compile(r"\s*(?:(\d+)|(\S))")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha():
-            if c in CURVE_VARS:
-                tokens.append(_Token("var", c, i))
-                i += 1
-                continue
-            raise UnknownVariableError(f"unknown variable {c!r}", i)
-        if c in "+-*^/()":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+def _tokenize(text: str) -> list[Token]:
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        num, c = m.groups()
+        if num:
+            tokens.append(("num", num, m.start(1)))
+        elif c in "+-*^/()":
+            tokens.append((c, c, m.start(2)))
+        elif c in CURVE_VARS:
+            tokens.append(("var", c, m.start(2)))
+        elif c.isalpha():
+            raise UnknownVariableError(f"unknown variable {c!r}", m.start(2))
+        else:
+            raise ParseError(f"unexpected character {c!r}", m.start(2))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+    """Recursive descent over the tokens in reverse: ``tokens[-1]`` is the
+    next one, and ``pop()`` consumes it."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)[::-1]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
+    def take(self, kind: str) -> Token:
+        """Consume the next token, which must be of this kind."""
+        tok = self.tokens.pop()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value or 'end of input'!r}", tok.pos)
-        return self.advance()
 
     # expr = term { ("+" | "-") term }
     def expr(self) -> Scaled:
         acc, den = self.term()
-        while self.peek().kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
+        while self.tokens[-1][0] in ("+", "-"):
+            sign = 1 if self.tokens.pop()[0] == "+" else -1
             rhs, rden = self.term()
             common = lcm(den, rden)
             acc, den = _sum(acc, common // den, rhs, sign * common // rden), common
@@ -175,19 +156,19 @@ class _Parser:
     def term(self) -> Scaled:
         acc, den = self.signed()
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
-                self.advance()
+            kind = self.tokens[-1][0]
+            if kind == "*":
+                self.tokens.pop()
                 rhs, rden = self.signed()
-            elif tok.kind in ("num", "var", "("):
+            elif kind in ("num", "var", "("):
                 rhs, rden = self.factor()
             else:
                 return acc, den
             acc, den = _product(acc, rhs), den * rden
 
     def signed(self) -> Scaled:
-        if self.peek().kind == "-":
-            self.advance()
+        if self.tokens[-1][0] == "-":
+            self.tokens.pop()
             p, den = self.signed()
             return {e: -c for e, c in p.items()}, den
         return self.factor()
@@ -195,40 +176,36 @@ class _Parser:
     # factor = atom [ "^" natural ]
     def factor(self) -> Scaled:
         base = self.atom()
-        if self.peek().kind != "^":
+        if self.tokens[-1][0] != "^":
             return base
-        self.advance()
-        tok = self.expect("num")
-        exponent = int(tok.value)
+        self.tokens.pop()
+        _, digits, pos = self.take("num")
+        exponent = int(digits)
         p, den = _reduced(*base)
         bound = max(sum(map(abs, p.values())), den)
         if bound > 1 and exponent * bound.bit_length() > MAX_CONSTANT_POWER_BITS:
-            raise ParseError(f"power exceeds {MAX_CONSTANT_POWER_BITS} coefficient bits", tok.pos)
+            raise ParseError(f"power exceeds {MAX_CONSTANT_POWER_BITS} coefficient bits", pos)
         return _power(p, exponent), den**exponent
 
     def atom(self) -> Scaled:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
-            value = int(tok.value)
+        kind, text, pos = self.tokens.pop()
+        if kind == "num":
+            value = int(text)
             terms = {_ONE: value} if value else {}
-            if self.peek().kind == "/":
-                self.advance()
-                den_tok = self.expect("num")
-                den = int(den_tok.value)
-                if den == 0:
-                    raise ParseError("zero denominator in rational literal", den_tok.pos)
+            if self.tokens[-1][0] != "/":
+                return terms, 1
+            self.tokens.pop()
+            _, digits, pos = self.take("num")
+            if den := int(digits):
                 return terms, den
-            return terms, 1
-        if tok.kind == "var":
-            self.advance()
-            return {_UNIT[tok.value]: 1}, 1
-        if tok.kind == "(":
-            self.advance()
+            raise ParseError("zero denominator in rational literal", pos)
+        if kind == "var":
+            return {_UNIT[text]: 1}, 1
+        if kind == "(":
             inner = self.expr()
-            self.expect(")")
+            self.take(")")
             return inner
-        raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}", tok.pos)
+        raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
 
 
 def parse_expression(text: str) -> MultiPoly:
@@ -236,14 +213,14 @@ def parse_expression(text: str) -> MultiPoly:
     returns it times the lcm of its coefficient denominators."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     try:
         poly, den = parser.expr()
     except RecursionError:
         raise ParseError("expression nested too deeply", 0) from None
-    end = parser.peek()
-    if end.kind != "end":
-        raise ParseError(f"unexpected {end.value!r} after expression", end.pos)
+    kind, rest, pos = parser.tokens[-1]
+    if kind != "end":
+        raise ParseError(f"unexpected {rest!r} after expression", pos)
     return MultiPoly(CURVE_VARS, _reduced(poly, den)[0])
 
 

@@ -1,7 +1,8 @@
 """Shared generators for randomized tests (all deterministic via seeds),
 the reference algorithms that differential tests compare against, the
-pointwise flex-order oracle, the expression parser on ``MultiPoly``
-arithmetic, and checks on forked children."""
+pointwise flex-order oracle, the character-loop scanner and the
+expression parser on ``MultiPoly`` arithmetic, and checks on forked
+children."""
 
 from __future__ import annotations
 
@@ -37,7 +38,12 @@ from orbitflex.exactpoly.unipoly import (
 )
 from orbitflex import flexlab
 from orbitflex.flexlab import PlaneCurve, SingularCurveError, check_smooth, random_unimodular
-from orbitflex.polyparse import MAX_CONSTANT_POWER_BITS, ParseError, _tokenize
+from orbitflex.polyparse import (
+    MAX_CONSTANT_POWER_BITS,
+    ParseError,
+    UnknownVariableError,
+    _tokenize,
+)
 
 CURVE_VARS = ("x", "y", "z")
 
@@ -457,8 +463,44 @@ def _divisors(n: int, cap: int = 4096) -> list[int] | None:
 
 
 # ----------------------------------------------------------------------
-# The expression parser on MultiPoly arithmetic
+# The character-loop scanner and the expression parser on MultiPoly
+# arithmetic
 # ----------------------------------------------------------------------
+
+
+def tokenize_by_characters(text: str) -> list[tuple[str, str, int]]:
+    """``polyparse._tokenize`` as a loop over the characters.  A number is
+    a run of characters that ``str.isdigit`` accepts, which ``int`` rejects
+    unless every one is a decimal digit."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("num", text[i:j], i))
+            i = j
+            continue
+        if c.isalpha():
+            if c in CURVE_VARS:
+                tokens.append(("var", c, i))
+                i += 1
+                continue
+            raise UnknownVariableError(f"unknown variable {c!r}", i)
+        if c in "+-*^/()":
+            tokens.append((c, c, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
 
 Scaled = tuple[MultiPoly, int]  # (P, D) stands for P / D, with D > 0
 
@@ -472,8 +514,8 @@ def _reduced(p: MultiPoly, den: int) -> Scaled:
 
 
 class _MultiPolyParser:
-    """The grammar of ``orbitflex.polyparse`` on the same tokens, with every
-    partial result a ``MultiPoly`` over x, y, z and a denominator."""
+    """The grammar of ``orbitflex.polyparse`` on the same ``(kind, text,
+    position)`` tokens, with every partial result a ``MultiPoly`` over x, y, z and a denominator."""
 
     def __init__(self, tokens):
         self.tokens = tokens
@@ -489,36 +531,36 @@ class _MultiPolyParser:
 
     def expect(self, kind: str):
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value or 'end of input'!r}", tok.pos)
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return self.advance()
 
     def expr(self) -> Scaled:
         acc, den = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
             rhs, rden = self.term()
             if rden != den:
                 common = lcm(den, rden)
                 acc, rhs, den = acc * (common // den), rhs * (common // rden), common
-            acc = acc + rhs if op.kind == "+" else acc - rhs
+            acc = acc + rhs if op == "+" else acc - rhs
         return acc, den
 
     def term(self) -> Scaled:
         acc, den = self.signed()
         while True:
-            tok = self.peek()
-            if tok.kind == "*":
+            kind = self.peek()[0]
+            if kind == "*":
                 self.advance()
                 rhs, rden = self.signed()
-            elif tok.kind in ("num", "var", "("):
+            elif kind in ("num", "var", "("):
                 rhs, rden = self.factor()
             else:
                 return acc, den
             acc, den = acc * rhs, den * rden
 
     def signed(self) -> Scaled:
-        if self.peek().kind == "-":
+        if self.peek()[0] == "-":
             self.advance()
             p, den = self.signed()
             return -p, den
@@ -526,39 +568,39 @@ class _MultiPolyParser:
 
     def factor(self) -> Scaled:
         base = self.atom()
-        if self.peek().kind != "^":
+        if self.peek()[0] != "^":
             return base
         self.advance()
-        tok = self.expect("num")
-        exponent = int(tok.value)
+        _, digits, pos = self.expect("num")
+        exponent = int(digits)
         p, den = _reduced(*base)
         bound = max(sum(map(abs, p.terms.values())), den)
         if bound > 1 and exponent * bound.bit_length() > MAX_CONSTANT_POWER_BITS:
-            raise ParseError(f"power exceeds {MAX_CONSTANT_POWER_BITS} coefficient bits", tok.pos)
+            raise ParseError(f"power exceeds {MAX_CONSTANT_POWER_BITS} coefficient bits", pos)
         return p**exponent, den**exponent
 
     def atom(self) -> Scaled:
-        tok = self.peek()
-        if tok.kind == "num":
+        kind, text, pos = self.peek()
+        if kind == "num":
             self.advance()
-            value = MultiPoly.const(CURVE_VARS, int(tok.value))
-            if self.peek().kind == "/":
+            value = MultiPoly.const(CURVE_VARS, int(text))
+            if self.peek()[0] == "/":
                 self.advance()
-                den_tok = self.expect("num")
-                den = int(den_tok.value)
+                _, digits, den_pos = self.expect("num")
+                den = int(digits)
                 if den == 0:
-                    raise ParseError("zero denominator in rational literal", den_tok.pos)
+                    raise ParseError("zero denominator in rational literal", den_pos)
                 return value, den
             return value, 1
-        if tok.kind == "var":
+        if kind == "var":
             self.advance()
-            return MultiPoly.var(CURVE_VARS, tok.value), 1
-        if tok.kind == "(":
+            return MultiPoly.var(CURVE_VARS, text), 1
+        if kind == "(":
             self.advance()
             inner = self.expr()
             self.expect(")")
             return inner
-        raise ParseError(f"expected a term, found {tok.value or 'end of input'!r}", tok.pos)
+        raise ParseError(f"expected a term, found {text or 'end of input'!r}", pos)
 
 
 def parse_expression_by_multipoly(text: str) -> MultiPoly:
@@ -571,9 +613,9 @@ def parse_expression_by_multipoly(text: str) -> MultiPoly:
         poly, den = parser.expr()
     except RecursionError:
         raise ParseError("expression nested too deeply", 0) from None
-    end = parser.peek()
-    if end.kind != "end":
-        raise ParseError(f"unexpected {end.value!r} after expression", end.pos)
+    kind, rest, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected {rest!r} after expression", pos)
     return _reduced(poly, den)[0]
 
 

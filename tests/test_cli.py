@@ -86,6 +86,12 @@ def test_syntax_error_exit_code(capsys):
         assert err == "input error: expression nested too deeply (at position 0)\n"
 
 
+def test_non_decimal_digit_is_a_syntax_error_at_its_position(capsys):
+    code, out, err = run(capsys, "flexes", "x²+y^3+z^3")
+    assert (code, out) == (2, "")
+    assert err == "input error: unexpected character '²' (at position 1)\n"
+
+
 def test_huge_constant_power_exits_two_at_once(capsys):
     for text in ("5z* 4^3591443783", "5z* (4x)^3591443783"):
         start = time.perf_counter()

@@ -1,12 +1,16 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitflex.exactpoly import MultiPoly, NonHomogeneousError
 from orbitflex.exactpoly.unipoly import ZeroPolynomialError
 from orbitflex.polyparse import (
     ParseError,
     UnknownVariableError,
+    _tokenize,
     parse_expression,
     parse_form,
 )
@@ -16,6 +20,7 @@ from helpers import (
     random_expression,
     random_homogeneous,
     random_multipoly,
+    tokenize_by_characters,
 )
 
 V = CURVE_VARS
@@ -92,11 +97,20 @@ def test_unknown_variable_with_position():
 def test_syntax_errors_carry_position():
     cases = [("x^^3", 2), ("x^3 + ", 6), ("(x+y", 4), ("x/y", 1),
              # nested too deeply: parentheses, then a chain of unary minus
-             ("(" * 2000 + "x" + ")" * 2000, 0), ("x + " + "-" * 5000 + "y", 0)]
+             ("(" * 2000 + "x" + ")" * 2000, 0), ("x + " + "-" * 5000 + "y", 0),
+             # digits that str.isdigit accepts but int does not read
+             ("x²+y^2", 1), ("6①", 1), ("₃x", 0)]
     for text, pos in cases:
         with pytest.raises(ParseError) as err:
             parse_expression(text)
         assert err.value.position == pos
+    with pytest.raises(ParseError, match=r"^unexpected character '²' \(at position 1\)$"):
+        parse_expression("x²+y^2")
+
+
+def test_decimal_digits_of_any_script():
+    assert parse_expression("٣x^3+y^3+z^3") == 3 * X**3 + Y**3 + Z**3
+    assert parse_expression("𝟘x + 1/𝟚y") == Y
 
 
 def test_empty_expression_rejected():
@@ -157,17 +171,17 @@ def test_reported_degree_matches_common_degree():
 
 
 def outcome(parse, text):
-    """The parsed polynomial, or the class, text and position of the
-    ParseError."""
+    """The parsed polynomial (or tokens), or the class, text and position
+    of the ParseError."""
     try:
         return parse(text)
     except ParseError as exc:
         return type(exc), str(exc), exc.position
 
 
-def test_term_maps_parse_as_multipoly_arithmetic():
-    # Differential test against the parser whose partial results are
-    # MultiPolys: the same polynomial, or the same error at the same place.
+def differential_texts() -> list[str]:
+    """Edge cases, then 2000 random expressions, a quarter of them with a
+    stray, missing or replaced character."""
     rng = random.Random(34)
     texts = ["5z* (4x)^3591443783", "1/0x^3", "(" * 2000 + "x" + ")" * 2000,
              "x + " + "-" * 5000 + "y", "   ", "x^^3", "x/y", "x^3 + w^3", "x^-2",
@@ -175,10 +189,54 @@ def test_term_maps_parse_as_multipoly_arithmetic():
              "(-1)^999999 + 0^999999", "x^70000 - x^70000"]
     for _ in range(2000):
         text = random_expression(rng)
-        if rng.random() < 0.25:  # a stray, missing or replaced character
+        if rng.random() < 0.25:
             i = rng.randint(0, len(text))
             text = text[:i] + rng.choice("+-*^/()xyzw0 1#") + text[i + rng.randint(0, 1):]
         texts.append(text)
+    return texts
+
+
+# Beyond ASCII: a letter, a no-break space, digits that int() does not
+# read, and decimal digits of other scripts.
+NON_ASCII = "wé\u00a0²₃①٣𝟘"
+
+
+def test_scanner_matches_character_loop():
+    # Differential test against the scanner that walked the characters:
+    # the same tokens, or the same error at the same place.  The one
+    # difference: a digit that int() does not read is an error at once,
+    # where the loop went on to a later error or none.
+    rng = random.Random(35)
+    texts = differential_texts()
+    for text in texts[:2000]:
+        i = rng.randint(0, len(text))
+        texts.append(text[:i] + rng.choice(NON_ASCII) + text[i:])
+    non_decimal = 0
+    for text in texts:
+        want = outcome(tokenize_by_characters, text)
+        got = outcome(_tokenize, text)
+        if got != want:
+            i = next(i for i, c in enumerate(text) if c.isdigit() and not c.isdecimal())
+            assert isinstance(want, list) or want[2] > i, text
+            assert got == (ParseError, f"unexpected character {text[i]!r} (at position {i})", i)
+            non_decimal += 1
+    assert non_decimal > 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("xyz0123456789+-*^/() " + NON_ASCII), max_size=20))
+def test_only_parse_errors_within_the_text(text):
+    text = re.sub(r"(\d)\d+", r"\1", text)  # single digits: no huge powers
+    try:
+        parse_expression(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
+
+
+def test_term_maps_parse_as_multipoly_arithmetic():
+    # Differential test against the parser whose partial results are
+    # MultiPolys: the same polynomial, or the same error at the same place.
+    texts = differential_texts()
     results = [outcome(parse_expression_by_multipoly, text) for text in texts]
     for text, want in zip(texts, results):
         assert outcome(parse_expression, text) == want, text
