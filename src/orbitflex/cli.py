@@ -47,9 +47,9 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_INPUT = 2
 
-
-class _Inconsistent(Exception):
-    """Mathematically inconsistent request or failed verification."""
+# What a subcommand returns: the JSON payload, the text lines, and None or
+# the message of a failed check.
+_Result = tuple[dict, list[str], str | None]
 
 
 def _stringify(value: object) -> object:
@@ -63,13 +63,6 @@ def _stringify(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [_stringify(v) for v in value]
     return value
-
-
-def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(_stringify(payload), sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
 
 
 def _load_curve(args: argparse.Namespace) -> str:
@@ -97,7 +90,7 @@ def _profile_lines(profile: FlexProfile) -> list[str]:
     ]
 
 
-def _cmd_flexes(args: argparse.Namespace) -> int:
+def _cmd_flexes(args: argparse.Namespace) -> _Result:
     source = _load_curve(args)
     curve, profile = _profile_of(source, args.seed)
     sums = f_sums(profile)
@@ -112,13 +105,16 @@ def _cmd_flexes(args: argparse.Namespace) -> int:
     lines = [f"curve degree: {curve.degree}"]
     lines += _profile_lines(profile)
     lines.append(f"power sums: f2={sums.f2} f3={sums.f3} f4={sums.f4} f5={sums.f5}")
-    _emit(payload, lines, args.json)
-    return EXIT_OK
+    return payload, lines, None
 
 
-def _report_payload(command: str, source: str, report) -> tuple[dict, list[str]]:
+def _cmd_report(args: argparse.Namespace) -> _Result:
+    """The ``predegree`` and ``degree`` subcommands."""
+    source = _load_curve(args)
+    curve, profile = _profile_of(source, args.seed)
+    report = build_report(curve.degree, profile, aut_order=args.aut)
     payload = {
-        "command": command,
+        "command": args.command,
         "curve": source,
         "curve_degree": report.degree,
         "profile": dict(report.profile.items()),
@@ -138,20 +134,10 @@ def _report_payload(command: str, source: str, report) -> tuple[dict, list[str]]
     if report.aut_order is not None:
         lines.append(f"aut order: {report.aut_order}")
         lines.append(f"orbit degree: {report.orbit_degree}")
-    return payload, lines
+    return payload, lines, None
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    """The ``predegree`` and ``degree`` subcommands."""
-    source = _load_curve(args)
-    curve, profile = _profile_of(source, args.seed)
-    report = build_report(curve.degree, profile, aut_order=args.aut)
-    payload, lines = _report_payload(args.command, source, report)
-    _emit(payload, lines, args.json)
-    return EXIT_OK
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> _Result:
     rows = orbitformulas.table_rows(args.d_from, args.d_to)
     payload = {
         "command": "table",
@@ -169,11 +155,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     lines = [f" d  {'P(d)'.rjust(width)}  factored"]
     for d, p, fs in rows:
         lines.append(f"{d:2d}  {str(p).rjust(width)}  {format_factorization(fs)}")
-    _emit(payload, lines, args.json)
-    return EXIT_OK
+    return payload, lines, None
 
 
-def _cmd_verify_chow(args: argparse.Namespace) -> int:
+def _cmd_verify_chow(args: argparse.Namespace) -> _Result:
     checks = chowcalc.verify_identities()
     all_ok = all(ok for _, ok, _, _ in checks)
     payload = {
@@ -183,13 +168,10 @@ def _cmd_verify_chow(args: argparse.Namespace) -> int:
     }
     lines = [f"{'PASS' if ok else 'FAIL'} {name}" for name, ok, _, _ in checks]
     lines.append(f"{sum(ok for _, ok, _, _ in checks)}/{len(checks)} identities hold")
-    _emit(payload, lines, args.json)
-    if not all_ok:
-        raise _Inconsistent("at least one polynomial identity failed")
-    return EXIT_OK
+    return payload, lines, None if all_ok else "at least one polynomial identity failed"
 
 
-def _cmd_pgl2(args: argparse.Namespace) -> int:
+def _cmd_pgl2(args: argparse.Namespace) -> _Result:
     try:
         ms = tuple(int(s) for s in args.multiplicities.split(","))
         cfg = TupleConfig(ms)
@@ -197,30 +179,23 @@ def _cmd_pgl2(args: argparse.Namespace) -> int:
         raise ParseError(f"bad multiplicity list: {exc}", 0) from exc
     formula = pgl2_predegree(cfg)
     oracle = pgl2_oracle(cfg)
+    agree = formula == oracle
     payload = {
         "command": "pgl2",
         "multiplicities": list(ms),
         "d": cfg.d,
         "formula": formula,
         "oracle": oracle,
-        "agree": formula == oracle,
+        "agree": agree,
     }
-    lines = [
-        f"d = {cfg.d}, multiplicities {ms}",
-        f"formula: {formula}",
-        f"oracle:  {oracle}",
-    ]
-    _emit(payload, lines, args.json)
-    if formula != oracle:
-        raise _Inconsistent("formula and combinatorial oracle disagree")
-    return EXIT_OK
+    lines = [f"d = {cfg.d}, multiplicities {ms}", f"formula: {formula}", f"oracle:  {oracle}"]
+    return payload, lines, None if agree else "formula and combinatorial oracle disagree"
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> _Result:
     value = orbitformulas.aut_lcm_bound(args.d)
     payload = {"command": "bound", "d": args.d, "bound": value}
-    _emit(payload, [f"d = {args.d}: automorphism l.c.m. bound {value}"], args.json)
-    return EXIT_OK
+    return payload, [f"d = {args.d}: automorphism l.c.m. bound {value}"], None
 
 
 @cache  # built once per process; parse_args leaves the tree unchanged
@@ -272,16 +247,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Print the result, then map a failed check or an error to its exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (NonDivisibleError, _Inconsistent, RuntimeError) as exc:
-        print(f"inconsistent: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        payload, lines, failure = args.func(args)
+    except (NonDivisibleError, RuntimeError) as exc:
+        lines, failure = None, str(exc)
     except (SingularCurveError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if lines is not None:
+        print(json.dumps(_stringify(payload), sort_keys=True, indent=2)
+              if args.json else "\n".join(lines))
+    if failure is None:
+        return EXIT_OK
+    print(f"inconsistent: {failure}", file=sys.stderr)
+    return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ it:
 * ``predegree_by_blowup_sum``   -- d^8 minus one correction term per
   blow-up center, summed over blow-up levels j >= 2 and flexes of order
   above j - 2;
-* ``predegree_by_flex_orders``  -- a closed form in d plus one summand
-  per flex order;
+* ``predegree_by_flex_orders``  -- P(d), the predegree when every flex
+  is simple, plus one contribution per flex;
 * ``predegree_by_power_sums``   -- a closed form in d and the four power
   sums f^(2)..f^(5) of the flex orders.
 
@@ -97,22 +97,10 @@ def predegree_by_blowup_sum(d: int, profile: "FlexProfile | Mapping[int, int]") 
 
 
 def predegree_by_flex_orders(d: int, profile: "FlexProfile | Mapping[int, int]") -> int:
-    """Predegree from the profile, one summand per flex order."""
+    """Predegree as P(d) plus one contribution per flex."""
     _require_degree(d)
     items = FlexProfile(d, dict(profile.items())).items()
-    total = d * (d - 2) * (
-        d**6 + 2 * d**5 + 4 * d**4 + 8 * d**3 - 1356 * d**2 + 5280 * d - 5319
-    )
-    for r, n in items:
-        total -= n * r * (r - 1) * (
-            6 * r**3
-            + (75 - 24 * d) * r**2
-            + (28 * d**2 - 240 * d + 393) * r
-            + 196 * d**2
-            - 960 * d
-            + 1125
-        )
-    return total
+    return simple_flex_predegree(d) + sum(n * flex_contribution(r, d) for r, n in items)
 
 
 def predegree_by_power_sums(d: int, sums: FlexSums) -> int:

@@ -1,8 +1,8 @@
 """Shared generators for randomized tests (all deterministic via seeds),
 the reference algorithms that differential tests compare against, the
-pointwise flex-order oracle, the character-loop scanner and the
-expression parser on ``MultiPoly`` arithmetic, and checks on forked
-children."""
+pointwise flex-order oracle, the flex-order predegree as one expanded
+polynomial, the character-loop scanner and the expression parser on
+``MultiPoly`` arithmetic, and checks on forked children."""
 
 from __future__ import annotations
 
@@ -98,6 +98,24 @@ def random_valid_profile(rng: random.Random, d: int) -> dict[int, int]:
         counts[r] = counts.get(r, 0) + 1
         remaining -= r
     return counts
+
+
+def expanded_flex_order_predegree(d: int, profile: dict[int, int]) -> int:
+    """The flex-order route written out: P(d) in factored form minus, for
+    each flex of order r, r(r-1) times a cubic in r with coefficients in d."""
+    total = d * (d - 2) * (
+        d**6 + 2 * d**5 + 4 * d**4 + 8 * d**3 - 1356 * d**2 + 5280 * d - 5319
+    )
+    for r, n in profile.items():
+        total -= n * r * (r - 1) * (
+            6 * r**3
+            + (75 - 24 * d) * r**2
+            + (28 * d**2 - 240 * d + 393) * r
+            + 196 * d**2
+            - 960 * d
+            + 1125
+        )
+    return total
 
 
 def planted_flex_curve(rng: random.Random, d: int, r: int) -> tuple[PlaneCurve, tuple[int, ...]]:

@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from orbitflex import cli
+from orbitflex import chowcalc, cli
 from orbitflex.cli import main
+from orbitflex.flexlab import SingularCurveError
+from orbitflex.orbitformulas import NonDivisibleError
 
 KLEIN = "x^3*y + y^3*z + z^3*x"
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -145,6 +148,64 @@ def test_verify_chow_json(capsys):
         '{\n  "all_passed": true,\n  "command": "verify-chow",\n'
         f'  "identities": [\n{entries}\n  ]\n}}\n'
     )
+
+
+def test_verify_chow_failed_identity(capsys, monkeypatch):
+    # The whole table is printed before the failure is reported.
+    failing = "simple-flex-factored-form"
+    checks = [(n, n != failing, "", "") for n in VERIFY_CHOW_NAMES]
+    monkeypatch.setattr(chowcalc, "verify_identities", lambda: checks)
+    err_line = "inconsistent: at least one polynomial identity failed\n"
+    table = "".join(f"{'PASS' if ok else 'FAIL'} {n}\n" for n, ok, _, _ in checks)
+    assert run(capsys, "verify-chow") == (1, table + "8/9 identities hold\n", err_line)
+    payload = {
+        "all_passed": False,
+        "command": "verify-chow",
+        "identities": [{"name": n, "passed": ok} for n, ok, _, _ in checks],
+    }
+    out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert run(capsys, "--json", "verify-chow") == (1, out, err_line)
+
+
+def off_by_one_oracle(monkeypatch):
+    oracle = cli.pgl2_oracle
+    monkeypatch.setattr(cli, "pgl2_oracle", lambda cfg: oracle(cfg) + 1)
+
+
+def test_pgl2_formula_and_oracle_disagree(capsys, monkeypatch):
+    off_by_one_oracle(monkeypatch)
+    err_line = "inconsistent: formula and combinatorial oracle disagree\n"
+    out = "d = 4, multiplicities (2, 1, 1)\nformula: 12\noracle:  13\n"
+    assert run(capsys, "pgl2", "--multiplicities", "2,1,1") == (1, out, err_line)
+    payload = {
+        "agree": False,
+        "command": "pgl2",
+        "d": "4",
+        "formula": "12",
+        "multiplicities": ["2", "1", "1"],
+        "oracle": "13",
+    }
+    out = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert run(capsys, "--json", "pgl2", "--multiplicities", "2,1,1") == (1, out, err_line)
+
+
+def test_only_main_prints(capsys, monkeypatch):
+    # A subcommand returns its result and main writes it, so calling one
+    # directly, through to a raised error or a failed check, prints nothing.
+    off_by_one_oracle(monkeypatch)
+    argvs = [case["argv"] for case in GOLDEN]
+    for json_flag in ([], ["--json"]):
+        argvs += [[*json_flag, "table", "--from", "3", "--to", "6"], [*json_flag, "verify-chow"],
+                  [*json_flag, "pgl2", "--multiplicities", "2,1,1"], [*json_flag, "bound", "5"],
+                  [*json_flag, "degree", "x^4+y^4+z^4", "--aut", "5"],
+                  [*json_flag, "flexes", "x^3 + "], [*json_flag, "bound", "11"]]
+    for argv in argvs:
+        args = cli._build_parser().parse_args(argv)
+        try:
+            args.func(args)
+        except (NonDivisibleError, RuntimeError, SingularCurveError, OSError, ValueError):
+            pass
+        assert capsys.readouterr() == ("", ""), argv
 
 
 def test_pgl2_command(capsys):
@@ -307,8 +368,7 @@ def test_output_bytes_match_golden(capsys):
     # Fermat, Klein and cyclic families, a rational-coefficient quartic and
     # three singular curves, at seeds 0 and 1: a change inside the curve
     # pipeline must keep every byte.
-    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
-    for case in golden:
+    for case in GOLDEN:
         assert run(capsys, *case["argv"]) == (case["code"], case["out"], case["err"]), case["argv"]
 
 
@@ -329,12 +389,11 @@ def test_parser_is_reused_with_nothing_kept_between_calls(capsys, monkeypatch, t
     # file holds where it has the call (a missing --seed is --seed 0), so
     # no curve, --aut, --from-file or --seed of an earlier call survives.
     assert cli._build_parser() is cli._build_parser()
-    golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
-    want = {tuple(case["argv"]): (case["code"], case["out"], case["err"]) for case in golden}
+    want = {tuple(case["argv"]): (case["code"], case["out"], case["err"]) for case in GOLDEN}
     path = tmp_path / "curve.txt"
     path.write_text("x^3 + y^3 + z^3\n")
     seq = []
-    for case in golden:
+    for case in GOLDEN:
         argv = case["argv"]
         seq += [argv, argv[2:]]  # the same call at the default seed
         if argv[2:4] == ["degree", "x^4+y^4+z^4"]:

@@ -21,7 +21,7 @@ from orbitflex.orbitformulas import (
     table_rows,
 )
 from orbitflex.pgl2 import TupleConfig
-from helpers import random_valid_profile
+from helpers import expanded_flex_order_predegree, random_valid_profile
 
 TABLE = {
     3: (216, "2^3*3^3"),
@@ -140,14 +140,17 @@ def test_negativity_of_flex_contributions():
             assert flex_contribution(k, d) < 0
 
 
-def test_flex_orders_route_equals_p_plus_contributions():
+def test_flex_orders_route_equals_the_expanded_polynomial():
+    # The route is P(d) plus flex_contribution per flex; the oracle is the
+    # same predegree expanded into one polynomial in d and the orders.
+    fermat_quartic = {2: 12}
+    assert (predegree_by_flex_orders(4, fermat_quartic)
+            == expanded_flex_order_predegree(4, fermat_quartic) == 10752)
     rng = random.Random(83)
-    for d in range(4, 9):
+    for _ in range(2000):
+        d = rng.randint(3, 40)
         profile = random_valid_profile(rng, d)
-        expected = simple_flex_predegree(d) + sum(
-            n * flex_contribution(r, d) for r, n in profile.items()
-        )
-        assert predegree_by_flex_orders(d, profile) == expected
+        assert predegree_by_flex_orders(d, profile) == expanded_flex_order_predegree(d, profile)
 
 
 # ----------------------------------------------------------------------
