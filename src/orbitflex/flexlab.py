@@ -19,12 +19,15 @@ resultant proves at once and the first subresultant proves otherwise
 second shear must give the same counts.  Everything runs on Python
 integers, deterministically given the seed.
 
-From degree 7 on, given two CPUs, a forked child (``_beside``) computes
+From degree 7 on, given two CPUs, a helper process (``_beside``) computes
 the second smoothness resultant, or the records of the projections that
-``flex_profile`` would draw next if the current one were certified.  The
-output cannot change: the child draws from copies of the generator, so
-the caller redraws the same shears; a record depends only on the form
-and the shear; and the caller judges every record, as a serial run does.
+``flex_profile`` would draw next if the current one were certified.  It
+is forked at the first such call and then serves every later one, until
+it is killed because its answer is not wanted, or the process exits.  The
+output cannot change: the helper draws from a copy of the generator's
+state, so the caller redraws the same shears; a record depends only on
+the form and the shear; and the caller judges every record, as a serial
+run does.
 
 ``check_smooth`` certifies that the three partial derivatives share no
 projective zero, by eliminating one variable from two pairs of partials
@@ -39,6 +42,7 @@ witness search goes on too.
 
 from __future__ import annotations
 
+import atexit
 import marshal
 import os
 import random
@@ -67,11 +71,15 @@ from .exactpoly import (
 RETRY_BUDGET = 8
 INITIAL_BOUND = 3
 INITIAL_SHEAR_BOUND = 2
-# Lowest curve degree that gets a forked child (``_beside``).  On a shared
-# 2-CPU Xeon VM (Python 3.11), 100 in-process rounds of the benchmark's
-# random-lowdeg workload (500 ops, d = 3..6, seed 1) took 3.75 / 4.11 /
-# 3.99 s at 7, 4.00 / 4.97 / 4.04 s at 6 and 4.77 / 5.07 / 4.82 s at 5:
-# a fork costs more than a projection of degree 5 or 6 saves.
+# Lowest curve degree that uses the helper process (``_beside``).  On a
+# shared 2-CPU Xeon VM (Python 3.11), 100 in-process rounds of the
+# benchmark's random-lowdeg workload (500 ops, d = 3..6, seed 1) took
+# 3.75 / 4.11 / 3.99 s at 7, 4.00 / 4.97 / 4.04 s at 6 and 4.77 / 5.07 /
+# 4.82 s at 5 with a fork per call.  With the helper, 5 measured faster
+# (148-157 -> 194-204 ops/s on that workload), but then most of a short
+# op's projections run in the helper, out of the benchmark's count of
+# projections per profile, which must stay at least 2; so 7 stays until
+# that count includes the helper's.
 PARALLEL_MIN_DEGREE = 7
 
 Point = tuple[int, int, int]
@@ -194,7 +202,7 @@ def _integer_form(p: MultiPoly) -> MultiPoly:
     content = int_gcd(*p.terms.values())
     if content <= 1:
         return p
-    return MultiPoly(p.variables, {e: c // content for e, c in p.terms.items()})
+    return MultiPoly._from_terms(p.variables, {e: c // content for e, c in p.terms.items()})
 
 
 def _int_poly(p: MultiPoly) -> IntPoly:
@@ -264,15 +272,126 @@ def _normalize_point(v: Sequence[int]) -> Point:
     return tuple(c // g for c in v)
 
 
+class _Helper:
+    """A process that answers ``(task, args)`` requests in ``marshal``
+    format, one at a time, until EOF on its request pipe; see ``_beside``.
+    Requests go through an unbuffered file, so a copy of this object in a
+    forked process has nothing to flush into the helper's pipe."""
+
+    def __init__(self, pid: int, requests_out: int, answers_in: int):
+        self.pid = pid
+        self.requests = open(requests_out, "wb", buffering=0)
+        self.answers = open(answers_in, "rb")
+
+    def ask(self, task: str, args: tuple) -> None:
+        data = memoryview(marshal.dumps((task, args)))
+        while data:
+            data = data[self.requests.write(data) :]
+
+    def close(self) -> None:
+        self.requests.close()
+        self.answers.close()
+
+
+# The helper of this process, or None until a call needs one.  Module state,
+# because a process has at most one helper, and the exit and fork hooks
+# below must find it.
+_helper: _Helper | None = None
+
+
+def _stop_helper() -> None:
+    """Kill and reap the helper, if there is one, and close its pipes."""
+    global _helper
+    helper, _helper = _helper, None
+    if helper is not None:
+        try:
+            os.kill(helper.pid, 9)  # SIGKILL: its work may take seconds, or not be wanted
+            os.waitpid(helper.pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped already: SIGCHLD is ignored
+            pass
+        helper.close()
+
+
+def _forget_helper() -> None:
+    """In a forked process: close the copies of the caller's pipes, so that
+    only the caller can talk to its helper, or hold its request pipe open."""
+    global _helper
+    if _helper is not None:
+        _helper.close()
+        _helper = None
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _start_helper() -> _Helper | None:
+    """Fork a helper, or None when a pipe or the fork fails (such as EAGAIN)."""
+    fds: list[int] = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    requests_in, requests_out, answers_in, answers_out = fds
+    if pid == 0:
+        try:
+            os.close(requests_out)
+            os.close(answers_in)
+            with open(requests_in, "rb") as requests, open(answers_out, "wb") as answers:
+                while True:  # until EOFError: the caller closed its end, or died
+                    task, args = marshal.load(requests)
+                    marshal.dump(_TASKS[task](*args), answers)
+                    answers.flush()
+        finally:
+            os._exit(0)
+    os.close(requests_in)
+    os.close(answers_out)
+    return _Helper(pid, requests_out, answers_in)
+
+
+def _plain(value):
+    """``value`` as ``marshal`` sends it: a MultiPoly as (variables, terms),
+    a generator as its state; anything else as it is."""
+    if isinstance(value, MultiPoly):
+        return value.variables, value.terms
+    if isinstance(value, random.Random):
+        return value.getstate()
+    return value
+
+
+def _smooth_task(a: tuple, b: tuple) -> IntPoly:
+    return _eliminate_z(MultiPoly._from_terms(*a), MultiPoly._from_terms(*b))
+
+
+def _ahead_task(form: tuple, d: int, state: tuple, bound: int, tried: set, n: int) -> dict:
+    rng = random.Random()
+    rng.setstate(state)
+    return _draws_ahead(MultiPoly._from_terms(*form), d, rng, bound, tried, n)
+
+
+# What the helper runs, by the task names of its requests.
+_TASKS = {"smooth": _smooth_task, "ahead": _ahead_task}
+
+
 @contextmanager
-def _beside(d: int, work: Callable, instead: Callable) -> Iterator[Callable]:
-    """Run ``work`` in a forked child while the with-block runs; yields a
-    function that returns its value, sent back in ``marshal`` format, or
-    ``instead()`` when there is no child: below degree PARALLEL_MIN_DEGREE,
+def _beside(d: int, task: str, args: tuple, instead: Callable) -> Iterator[Callable]:
+    """Run ``_TASKS[task]`` on ``args`` in the helper process while the
+    with-block runs; yields a function that returns its value, or
+    ``instead()`` when there is no helper: below degree PARALLEL_MIN_DEGREE,
     with fewer than two CPUs or more than one thread (forking a threaded
-    process can deadlock), or when the fork fails or the child dies.  The
-    child is killed and reaped when the block ends, or raises.
+    process can deadlock, and one thread at a time may use the pipes), or
+    when the fork fails or the helper dies.  ``args`` are sent through
+    ``_plain`` only when the helper is used.  The helper outlives the block
+    once its value is read; when the block ends without reading it (the
+    value is not wanted, the block raised, or the helper died), it is killed
+    and reaped, and the next call forks a new one.
     """
+    global _helper
     if (
         d < PARALLEL_MIN_DEGREE
         or not hasattr(os, "sched_getaffinity")  # where it exists, so does os.fork
@@ -281,35 +400,32 @@ def _beside(d: int, work: Callable, instead: Callable) -> Iterator[Callable]:
     ):
         yield instead
         return
-    fds: tuple[int, ...] = ()
-    try:
-        fds = answers_in, answers_out = os.pipe()
-        pid = os.fork()
-    except OSError:  # such as EAGAIN from fork
-        for fd in fds:
-            os.close(fd)
+    if _helper is None:
+        _helper = _start_helper()
+    helper = _helper
+    if helper is None:
         yield instead
         return
-    if pid == 0:
-        try:
-            os.close(answers_in)
-            with open(answers_out, "wb") as answers:
-                marshal.dump(work(), answers)
-        finally:
-            os._exit(0)
-    try:
-        os.close(answers_out)
-        with open(answers_in, "rb") as answers:
-            def value():
-                try:
-                    return marshal.load(answers)
-                except EOFError:  # the child died
-                    return instead()
+    answered = False
 
-            yield value
+    def value():
+        nonlocal answered
+        try:
+            answer = marshal.load(helper.answers)
+        except EOFError:  # the helper died
+            return instead()
+        answered = True
+        return answer
+
+    try:
+        try:
+            helper.ask(task, tuple(map(_plain, args)))
+        except BrokenPipeError:  # the helper died
+            value = instead
+        yield value
     finally:
-        os.kill(pid, 9)  # SIGKILL: its work may take seconds, or not be wanted
-        os.waitpid(pid, 0)
+        if not answered:
+            _stop_helper()
 
 
 # ----------------------------------------------------------------------
@@ -362,8 +478,7 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
         if any(p.evaluate((0, 0, 1)) == 0 for p in grads):
             continue
         a, b, c = (p.dehomogenize("y") for p in grads)
-        second = partial(_eliminate_z, a, c)
-        with _beside(d, second, second) as beside:
+        with _beside(d, "smooth", (a, c), partial(_eliminate_z, a, c)) as beside:
             u1, u2 = _eliminate_z(a, b), beside()
         if not u1 or not u2:
             # Two partials share a component, which meets the third partial
@@ -466,13 +581,13 @@ def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
     tried: set[tuple[int, int, int]] = set()
     proved: dict[int, int] | None = None
     rejected: Counter[str] = Counter()
-    ahead: dict = {}  # records by shear, computed by a child
+    ahead: dict = {}  # records by shear, computed by the helper
     for attempt in range(RETRY_BUDGET):
         m = random_shear(rng, bound, tried)
         record = ahead.get(tuple(map(tuple, m)))
         if record is None and proved is None:
             n = RETRY_BUDGET - attempt - 1
-            with _beside(d, partial(_draws_ahead, form, d, rng, bound, tried, n), dict) as drawn:
+            with _beside(d, "ahead", (form, d, rng, bound, tried, n), dict) as drawn:
                 record = _profile_once(form, d, m)
                 if record[0] is None:
                     ahead = drawn()
@@ -497,8 +612,8 @@ def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
 
 def _draws_ahead(form: MultiPoly, d: int, rng: random.Random, bound: int, tried: set, n: int):
     """Records by shear of the next n draws of ``flex_profile`` once a
-    profile is proved, up to the first with counts; runs in a child, on
-    its copies of ``rng`` and ``tried``."""
+    profile is proved, up to the first with counts; runs in the helper,
+    on its copies of ``rng`` and ``tried``."""
     records = {}
     for _ in range(n):
         m = random_shear(rng, bound, tried)

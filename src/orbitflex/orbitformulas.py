@@ -77,6 +77,14 @@ def higher_blowup_term(j: DLike, d: DLike) -> DLike:
     )
 
 
+def _checked(d: int, profile: "FlexProfile | Mapping[int, int]") -> FlexProfile:
+    """``profile`` as a FlexProfile of degree d: as it is when it already is
+    one, which its constructor checked, and built and checked otherwise."""
+    if isinstance(profile, FlexProfile) and profile.degree == d:
+        return profile
+    return FlexProfile(d, dict(profile.items()))
+
+
 def predegree_by_blowup_sum(d: int, profile: "FlexProfile | Mapping[int, int]") -> int:
     """Predegree as d^8 minus the per-center corrections.
 
@@ -84,7 +92,7 @@ def predegree_by_blowup_sum(d: int, profile: "FlexProfile | Mapping[int, int]") 
     the level-j term is weighted by the number of flexes of order > j - 2.
     """
     _require_degree(d)
-    flexes = FlexProfile(d, dict(profile.items()))
+    flexes = _checked(d, profile)
     total = d**8 - first_blowup_term(d) - second_blowup_term(d)
     for j in range(2, max(flexes.counts, default=0) + 2):
         total -= flexes.flexes_of_order_above(j - 2) * higher_blowup_term(j, d)
@@ -99,7 +107,7 @@ def predegree_by_blowup_sum(d: int, profile: "FlexProfile | Mapping[int, int]") 
 def predegree_by_flex_orders(d: int, profile: "FlexProfile | Mapping[int, int]") -> int:
     """Predegree as P(d) plus one contribution per flex."""
     _require_degree(d)
-    items = FlexProfile(d, dict(profile.items())).items()
+    items = _checked(d, profile).items()
     return simple_flex_predegree(d) + sum(n * flex_contribution(r, d) for r, n in items)
 
 
@@ -249,8 +257,7 @@ def build_report(
     the implementation is broken) and NonDivisibleError when a supplied
     automorphism order fails the divisibility constraint.
     """
-    if not isinstance(profile, FlexProfile):
-        profile = FlexProfile(d, dict(profile))
+    profile = _checked(d, profile)
     sums = f_sums(profile)
     routes = {
         "blowup_sum": predegree_by_blowup_sum(d, profile),

@@ -1,6 +1,7 @@
 import errno
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -417,9 +418,11 @@ def test_projections_ahead_in_a_child_match_a_serial_run(
     two_cpus, monkeypatch, src, seed, forks, projected
 ):
     # At seeds 3 and 6 the first projection of the Fermat curve is not
-    # separating, so the child computing ahead of it is killed; the caller
-    # computes only the projections up to the first certified one.
-    c = curve(src)
+    # separating, so the helper computing ahead of it is killed, and the
+    # next projection forks a new one; the caller computes only the
+    # projections up to the first certified one.  The curve is certified
+    # serially, so that the profile forks the first helper.
+    c = serially(monkeypatch, lambda: curve(src))
     in_caller = lambda: _in_caller(monkeypatch, c, seed)  # noqa: E731
     profile, draws, serial_projected = serially(monkeypatch, in_caller)
     assert serial_projected == len(draws)
@@ -432,11 +435,13 @@ def test_projections_ahead_in_a_child_match_a_serial_run(
 def test_genericity_failure_with_a_child_matches_a_serial_run(two_cpus, monkeypatch):
     # A rejection, a certified shear, then six rejections that the child
     # computes ahead; on the Fermat septic, (a : 1 : b) = (-1 : 1 : 0) lies
-    # on the curve and the Hessian vanishes at (0 : 1 : b).
+    # on the curve and the Hessian vanishes at (0 : 1 : b).  The helper
+    # computing ahead of the rejection is killed, and the certified shear
+    # forks a new one, which sees the drawn shears.
     shears = [_shear(-1, 0, 1), _shear(2, 2, -2)]
     shears += [_shear(0, b, c) for b, c in ((1, 1), (2, 1), (1, 2))]
     shears += [_shear(-1, 0, c) for c in (2, 3, 4)]
-    septic = curve("x^7 + y^7 + z^7")
+    septic = serially(monkeypatch, lambda: curve("x^7 + y^7 + z^7"))
 
     def failure():
         bounds, projected = _draws(monkeypatch, shears), []
@@ -754,12 +759,13 @@ def test_profile_invariant_under_unimodular_change(d, curve_seed, matrix_seed):
 
 
 # ----------------------------------------------------------------------
-# Forked children: the process rules of _beside
+# The helper process: the process rules of _beside
 # ----------------------------------------------------------------------
 
 
-# flexlab forks a child (``_beside``) for whole resultants: the second
-# smoothness elimination, and the flex projections after the current one.
+# flexlab's helper process (``_beside``) computes whole resultants: the
+# second smoothness elimination, and the flex projections after the
+# current one.  ``two_cpus`` stops any helper before and after each test.
 FERMAT_7 = "x^7 + y^7 + z^7"
 
 
@@ -776,8 +782,9 @@ def in_child_only(owner: int, child_does, caller_does):
 @needs_fork
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_exception_in_callers_half_kills_the_child_at_once(two_cpus, monkeypatch, error):
-    curve = smooth_curve(FERMAT_7)
-    want = flex_profile(curve)
+    # Serially, so that the helper forked below runs the stand-in.
+    curve = serially(monkeypatch, lambda: smooth_curve(FERMAT_7))
+    want = serially(monkeypatch, lambda: flex_profile(curve))
 
     def interrupted(*args):
         raise error("interrupted")
@@ -867,3 +874,110 @@ def test_fresh_process_leaves_no_child_behind():
     assert proc.returncode == 0
     assert proc.stdout.startswith("curve degree: 8\n")
     assert proc.stderr == ""
+
+
+@needs_fork
+def test_one_helper_serves_every_call(two_cpus, monkeypatch):
+    # No first projection of these curves is rejected at seed 0, so no
+    # helper is killed: six calls, one fork.
+    sources = [FERMAT_7, "x^6*y + y^6*z + z^6*x", "x^8 + y^8 + z^8"]
+    profiles = lambda: [flex_profile(smooth_curve(src)) for src in sources]  # noqa: E731
+    want = serially(monkeypatch, profiles)
+    assert profiles() == want
+    assert len(two_cpus) == 1
+
+
+@needs_fork
+def test_a_process_forked_from_the_caller_never_uses_its_helper(two_cpus):
+    curve = smooth_curve(FERMAT_7)
+    helper = flexlab._helper
+    want = flex_profile(curve)
+    assert helper is not None and flexlab._helper is helper
+    verdict_in, verdict_out = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            # The copies of the caller's pipes are closed, and a profile
+            # here forks a helper of this process's own.
+            dropped = flexlab._helper is None and helper.requests.closed and helper.answers.closed
+            same = flex_profile(curve) == want and flexlab._helper is not None
+            flexlab._stop_helper()
+            os.write(verdict_out, bytes([dropped, same]))
+        finally:
+            os._exit(0)
+    os.close(verdict_out)
+    with open(verdict_in, "rb") as verdict:
+        assert verdict.read() == bytes([True, True])
+    assert os.waitpid(pid, 0)[1] == 0
+    # The caller's helper is untouched: it still answers, and nothing forks.
+    assert flex_profile(curve) == want
+    assert flexlab._helper is helper
+    assert len(two_cpus) == 2
+
+
+@needs_fork
+def test_helper_exits_when_its_caller_is_killed():
+    script = (
+        "import os, time\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from orbitflex import flexlab\n"
+        "from orbitflex.polyparse import parse_form\n"
+        f"flexlab.flex_profile(flexlab.check_smooth(parse_form({FERMAT_7!r})[0]))\n"
+        "print(flexlab._helper.pid, flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
+    try:
+        assert int(caller.stdout.readline()) > 0
+        os.kill(caller.pid, signal.SIGKILL)
+        # The helper holds the caller's stdout, which reaches EOF only once
+        # the helper has exited too: at EOF on its request pipe.
+        assert caller.communicate(timeout=5)[0] == ""
+    finally:
+        caller.kill()
+        caller.wait()
+
+
+@needs_fork
+def test_helper_is_reaped_at_exit():
+    # atexit runs its functions last registered first, so ``reaped``, which
+    # is registered before flexlab is imported, runs after flexlab's own.
+    script = (
+        "import atexit, os\n"
+        "def reaped():\n"
+        "    try:\n"
+        "        os.waitpid(helper.pid, os.WNOHANG)\n"
+        "        print('not reaped')\n"
+        "    except ChildProcessError:\n"
+        "        print('reaped', helper.requests.closed and helper.answers.closed)\n"
+        "atexit.register(reaped)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from orbitflex import flexlab\n"
+        "from orbitflex.polyparse import parse_form\n"
+        f"flexlab.flex_profile(flexlab.check_smooth(parse_form({FERMAT_7!r})[0]))\n"
+        "helper = flexlab._helper\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "reaped True\n", "")
+
+
+@needs_fork
+def test_a_caller_that_ignores_sigchld_gets_a_serial_runs_output():
+    # With SIGCHLD ignored, the system reaps the helper as it dies, so there
+    # is no child left to wait for; at --seed 6 the first projection of the
+    # Fermat septic is rejected, so the helper is killed.
+    script = (
+        "import os, signal, sys\n"
+        "signal.signal(signal.SIGCHLD, signal.SIG_IGN)\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from orbitflex import cli\n"
+        f"sys.exit(cli.main(['--seed', '6', 'flexes', {FERMAT_7!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    serial = subprocess.run(
+        [sys.executable, "-c", script.replace("{0, 1}", "{0}")], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == serial.stdout

@@ -76,6 +76,16 @@ def test_inconsistent_profile_rejected():
         predegree_by_flex_orders(4, {3: 8})
 
 
+def test_a_profile_of_another_degree_is_checked_again():
+    # A FlexProfile of degree d is used as it is; one of another degree is
+    # rebuilt for d, which rejects it.
+    quartic = FlexProfile(4, {1: 24})
+    assert build_report(4, quartic).profile is quartic
+    for route in (predegree_by_blowup_sum, predegree_by_flex_orders, build_report):
+        with pytest.raises(InconsistentProfileError, match="3d\\(d-2\\) = 45"):
+            route(5, quartic)
+
+
 def test_non_integer_degree_or_profile_rejected():
     # Floats once ran through every route: build_report(4, {1: 24.0}) gave
     # the predegree 14280.0, and TupleConfig((2.5, 1.5)) a predegree of 0.0.
