@@ -24,24 +24,15 @@ non-divisible automorphism order, no certified flex profile); 2 input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict
 from functools import cache
 from typing import Sequence
 
-from . import chowcalc, orbitformulas
-from .exactpoly import format_factorization
-from .flexlab import (
-    FlexProfile,
-    SingularCurveError,
-    check_smooth,
-    f_sums,
-    flex_profile,
-)
+from . import orbitformulas
+from .exactpoly import MultiPoly, format_factorization
 from .orbitformulas import NonDivisibleError, build_report
 from .pgl2 import TupleConfig, pgl2_oracle, pgl2_predegree
-from .polyparse import ParseError, parse_form
+from .profiles import FlexProfile, PlaneCurve, SingularCurveError, f_sums
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -65,6 +56,34 @@ def _stringify(value: object) -> object:
     return value
 
 
+def _json_text(payload: dict) -> str:
+    import json  # only --json needs it
+
+    return json.dumps(_stringify(payload), sort_keys=True, indent=2)
+
+
+# The curve pipeline is imported by the subcommands that run it, at their
+# first call.  These three stay names of this module, looked up when
+# ``_profile_of`` runs, so that a wrapper set on them (as the benchmark's
+# tracer does) sees every call.
+def parse_form(source: str) -> tuple[MultiPoly, int]:
+    from .polyparse import parse_form
+
+    return parse_form(source)
+
+
+def check_smooth(form: MultiPoly) -> PlaneCurve:
+    from .flexlab import check_smooth
+
+    return check_smooth(form)
+
+
+def flex_profile(curve: PlaneCurve, seed: int) -> FlexProfile:
+    from .flexlab import flex_profile
+
+    return flex_profile(curve, seed=seed)
+
+
 def _load_curve(args: argparse.Namespace) -> str:
     if args.from_file:
         if args.curve is not None:
@@ -72,6 +91,8 @@ def _load_curve(args: argparse.Namespace) -> str:
         with open(args.from_file, "r", encoding="utf-8") as fh:
             return fh.read().strip()
     if args.curve is None:
+        from .polyparse import ParseError
+
         raise ParseError("no curve given", 0)
     return args.curve
 
@@ -100,7 +121,7 @@ def _cmd_flexes(args: argparse.Namespace) -> _Result:
         "curve_degree": curve.degree,
         "profile": dict(profile.items()),
         "weighted_total": profile.weighted_total(),
-        "sums": asdict(sums),
+        "sums": sums._asdict(),
     }
     lines = [f"curve degree: {curve.degree}"]
     lines += _profile_lines(profile)
@@ -118,7 +139,7 @@ def _cmd_report(args: argparse.Namespace) -> _Result:
         "curve": source,
         "curve_degree": report.degree,
         "profile": dict(report.profile.items()),
-        "sums": asdict(report.sums),
+        "sums": report.sums._asdict(),
         "predegree": report.predegree,
         "routes": dict(report.routes),
         "factorization": [list(pe) for pe in report.factorization],
@@ -159,6 +180,8 @@ def _cmd_table(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_verify_chow(args: argparse.Namespace) -> _Result:
+    from . import chowcalc
+
     checks = chowcalc.verify_identities()
     all_ok = all(ok for _, ok, _, _ in checks)
     payload = {
@@ -176,6 +199,8 @@ def _cmd_pgl2(args: argparse.Namespace) -> _Result:
         ms = tuple(int(s) for s in args.multiplicities.split(","))
         cfg = TupleConfig(ms)
     except ValueError as exc:
+        from .polyparse import ParseError
+
         raise ParseError(f"bad multiplicity list: {exc}", 0) from exc
     formula = pgl2_predegree(cfg)
     oracle = pgl2_oracle(cfg)
@@ -257,8 +282,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if lines is not None:
-        print(json.dumps(_stringify(payload), sort_keys=True, indent=2)
-              if args.json else "\n".join(lines))
+        print(_json_text(payload) if args.json else "\n".join(lines))
     if failure is None:
         return EXIT_OK
     print(f"inconsistent: {failure}", file=sys.stderr)

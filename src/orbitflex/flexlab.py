@@ -38,6 +38,8 @@ attempt to exhibit a rational singular point, a primitive integer
 triple, then a retry in new coordinates.  Two partials that share a
 component prove the curve singular without naming a point, so the
 witness search goes on too.
+
+The value types and the errors are defined in ``profiles``, and re-exported.
 """
 
 from __future__ import annotations
@@ -49,11 +51,9 @@ import random
 import threading
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import gcd as int_gcd
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .exactpoly import (
     IntPoly,
@@ -67,6 +67,8 @@ from .exactpoly import (
     resultant,
     squarefree_decompose,
 )
+from .profiles import FlexProfile, GenericityFailureError, PlaneCurve, SingularCurveError
+from .profiles import FlexSums, InconsistentProfileError, f_sums  # noqa: F401 (part of this module's API)
 
 RETRY_BUDGET = 8
 INITIAL_BOUND = 3
@@ -83,113 +85,6 @@ INITIAL_SHEAR_BOUND = 2
 PARALLEL_MIN_DEGREE = 7
 
 Point = tuple[int, int, int]
-
-
-class SingularCurveError(Exception):
-    """The form defines a singular curve.
-
-    ``witness`` is a projective point killing all three partials, as a
-    primitive integer triple, when one with rational coordinates was
-    found, else None.  The message shows it as a triple of ``Fraction``s.
-    """
-
-    def __init__(self, message: str, witness: Point | None = None):
-        super().__init__(
-            message if witness is None else f"{message}; witness {tuple(map(Fraction, witness))}"
-        )
-        self.witness = witness
-
-
-class GenericityFailureError(RuntimeError):
-    """No generic coordinate change was found within the retry budget."""
-
-
-class InconsistentProfileError(ValueError):
-    """A flex profile fails the weighted-count constraint for its degree."""
-
-
-@dataclass(frozen=True)
-class PlaneCurve:
-    """A homogeneous ternary form certified smooth by ``check_smooth``."""
-
-    form: MultiPoly
-    degree: int
-
-
-class FlexProfile:
-    """Multiset {flex order r >= 1 -> count over the algebraic closure}."""
-
-    __slots__ = ("degree", "_counts")
-
-    def __init__(self, degree: int, counts: Mapping[int, int]):
-        if type(degree) is not int:
-            raise InconsistentProfileError(f"degree must be an integer, got {degree!r}")
-        clean = {r: n for r, n in counts.items() if n != 0}
-        for r, n in clean.items():
-            if type(r) is not int or type(n) is not int or r < 1 or n < 0:
-                raise InconsistentProfileError(f"invalid profile entry {r!r}: {n!r}")
-            if r > degree - 2:
-                raise InconsistentProfileError(
-                    f"flex order {r} exceeds d-2 = {degree - 2} (a line meets the"
-                    " curve with multiplicity at most d)"
-                )
-        weighted = sum(r * n for r, n in clean.items())
-        if weighted != 3 * degree * (degree - 2):
-            raise InconsistentProfileError(
-                f"weighted flex count {weighted} != 3d(d-2) = {3*degree*(degree-2)}"
-            )
-        self.degree = degree
-        self._counts = dict(sorted(clean.items()))
-
-    @property
-    def counts(self) -> dict[int, int]:
-        return dict(self._counts)
-
-    def count(self, order: int) -> int:
-        return self._counts.get(order, 0)
-
-    def items(self) -> list[tuple[int, int]]:
-        return list(self._counts.items())
-
-    def weighted_total(self) -> int:
-        return sum(r * n for r, n in self._counts.items())
-
-    def flexes_of_order_above(self, threshold: int) -> int:
-        """Number of flexes with order strictly greater than ``threshold``."""
-        return sum(n for r, n in self._counts.items() if r > threshold)
-
-    def power_sum(self, power: int) -> int:
-        """Sum of (flex order)**power over all flexes."""
-        return sum(n * r**power for r, n in self._counts.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlexProfile):
-            return NotImplemented
-        return self.degree == other.degree and self._counts == other._counts
-
-    def __hash__(self) -> int:
-        return hash((self.degree, tuple(self._counts.items())))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{r}: {n}" for r, n in self._counts.items())
-        return f"FlexProfile(d={self.degree}, {{{body}}})"
-
-
-@dataclass(frozen=True)
-class FlexSums:
-    """The power sums f^(r) = sum_q (flex order of q)**r for r = 2..5."""
-
-    f2: int
-    f3: int
-    f4: int
-    f5: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.f2, self.f3, self.f4, self.f5)
-
-
-def f_sums(profile: FlexProfile) -> FlexSums:
-    return FlexSums(*(profile.power_sum(r) for r in range(2, 6)))
 
 
 # ----------------------------------------------------------------------

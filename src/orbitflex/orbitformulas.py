@@ -25,14 +25,13 @@ Z[d] checked by coefficient comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
-from .exactpoly import MultiPoly, factor_integer
-from .flexlab import FlexProfile, FlexSums, f_sums
-from .flexlab import InconsistentProfileError  # noqa: F401 (part of this module's API)
+from .exactpoly import factor_integer
+from .profiles import FlexProfile, FlexSums, f_sums
+from .profiles import InconsistentProfileError  # noqa: F401 (part of this module's API)
 
-DLike = Union[int, MultiPoly]
+DLike = Union[int, "MultiPoly"]
 
 
 class NonDivisibleError(ValueError):
@@ -42,7 +41,13 @@ class NonDivisibleError(ValueError):
 def _require_degree(d: DLike) -> None:
     """A numeric degree must be an ``int`` of at least 3; a polynomial
     degree (symbolic mode) passes."""
-    if not isinstance(d, MultiPoly) and (type(d) is not int or d < 3):
+    if type(d) is int:
+        valid = d >= 3
+    else:
+        from .exactpoly import MultiPoly
+
+        valid = isinstance(d, MultiPoly)
+    if not valid:
         raise ValueError(f"degree must be an integer of at least 3, got {d!r}")
 
 
@@ -232,8 +237,7 @@ def aut_lcm_bound(d: int) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PredegreeReport:
+class PredegreeReport(NamedTuple):
     """Predegree of one curve with the per-route values and derived data."""
 
     degree: int

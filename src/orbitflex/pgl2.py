@@ -14,20 +14,32 @@ transformation), which gives an independent combinatorial oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class TupleConfig:
-    """Multiplicities of a point configuration on the line."""
+    """Multiplicities of a point configuration on the line; immutable."""
 
-    multiplicities: tuple[int, ...]
+    __slots__ = ("multiplicities",)
 
-    def __post_init__(self) -> None:
-        if not self.multiplicities:
+    def __init__(self, multiplicities: tuple[int, ...]):
+        if not multiplicities:
             raise ValueError("configuration needs at least one point")
-        if any(type(m) is not int or m < 1 for m in self.multiplicities):
-            raise ValueError(f"multiplicities must be positive: {self.multiplicities}")
+        if any(type(m) is not int or m < 1 for m in multiplicities):
+            raise ValueError(f"multiplicities must be positive: {multiplicities}")
+        object.__setattr__(self, "multiplicities", multiplicities)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("TupleConfig is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TupleConfig):
+            return NotImplemented
+        return self.multiplicities == other.multiplicities
+
+    def __hash__(self) -> int:
+        return hash((self.multiplicities,))
+
+    def __repr__(self) -> str:
+        return f"TupleConfig(multiplicities={self.multiplicities!r})"
 
     @property
     def d(self) -> int:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from orbitflex.exactpoly import MultiPoly
-from orbitflex.flexlab import FlexProfile, FlexSums, f_sums
+from orbitflex.flexlab import FlexProfile, FlexSums, PlaneCurve, f_sums
 from orbitflex.orbitformulas import (
     InconsistentProfileError,
     NonDivisibleError,
@@ -283,3 +283,33 @@ def test_published_examples_divisible_by_aut_orders():
     for d, profile, aut in cases:
         report = build_report(d, profile, aut_order=aut)
         assert report.predegree % aut == 0
+
+
+# ----------------------------------------------------------------------
+# Value types
+# ----------------------------------------------------------------------
+
+
+def test_value_types_are_immutable_and_compare_by_value():
+    form = MultiPoly(("x", "y", "z"), {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+    report = build_report(3, {1: 9})
+    made = {
+        "FlexSums": (FlexSums(9, 9, 9, 9), lambda: FlexSums(9, 9, 9, 9), "f3"),
+        "PlaneCurve": (PlaneCurve(form, 3), lambda: PlaneCurve(form, 3), "degree"),
+        "TupleConfig": (TupleConfig((2, 1)), lambda: TupleConfig((2, 1)), "multiplicities"),
+    }
+    for name, (value, again, field) in made.items():
+        assert value == again() and hash(value) == hash(again()), name
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+    assert TupleConfig((2, 1)) != TupleConfig((1, 2))
+    with pytest.raises(AttributeError):
+        report.predegree = 0
+    assert report == build_report(3, {1: 9})
+    assert (report.aut_order, report.orbit_degree) == (None, None)
+    assert f_sums(report.profile).as_tuple() == (9, 9, 9, 9) == report.sums.as_tuple()
+    assert list(report.sums._asdict()) == ["f2", "f3", "f4", "f5"]
+    with pytest.raises(ValueError, match="at least one point"):
+        TupleConfig(())
+    with pytest.raises(ValueError, match=r"must be positive: \(2, 0\)"):
+        TupleConfig((2, 0))
