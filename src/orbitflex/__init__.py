@@ -1,6 +1,6 @@
 """Exact flex profiles and orbit-closure degrees of smooth plane curves.
 
-Computes, in exact rational arithmetic, the flex profile of a smooth
+Computes, in exact integer arithmetic, the flex profile of a smooth
 plane curve of degree d >= 3 and the predegree/degree of its orbit
 closure under the projective linear group, by three mutually checking
 routes: closed-form formulas, a per-blow-up correction summation, and a

@@ -11,6 +11,7 @@ not an integer raises ``TypeError``, and ``resultant`` needs a nonzero
 constant top coefficient in the eliminated variable.
 """
 
+from .elimination import prs_subresultants, resultant
 from .intfactor import factor_integer, format_factorization, is_prime
 from .multipoly import (
     MultiPoly,
@@ -23,7 +24,6 @@ from .multipoly import (
     hessian_determinant,
     linear_substitute,
 )
-from .resultant import prs_subresultants, resultant
 from .unipoly import IntPoly, ZeroPolynomialError, gcd, rational_roots, squarefree_decompose
 
 __all__ = [

@@ -10,9 +10,10 @@ Every coefficient is a Python ``int``; any other coefficient type raises
 module's own arithmetic are built from terms it made itself and are not
 checked again.  Every operation is exact; there is no floating-point mode.
 Instances are immutable: all arithmetic returns new objects, and values
-can be shared freely across threads.  Sums, negations, powers and coerced
-constants keep the class of ``self``, so a subclass that only changes
-construction and products inherits the rest of the ring operations.
+can be shared freely across threads, copied and pickled.  Sums,
+negations, powers and coerced constants keep the class of ``self``, so a
+subclass that only changes construction and products inherits the rest
+of the ring operations.
 
 Terms are kept in no particular order internally; printing and iteration
 use graded-lexicographic order (total degree first, then lexicographic on
@@ -103,6 +104,9 @@ class MultiPoly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):  # for copy and pickle, which cannot set attributes
+        return type(self)._from_terms, (self.variables, self._terms)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -45,7 +45,6 @@ The value types and the errors are defined in ``profiles``, and re-exported.
 from __future__ import annotations
 
 import atexit
-import marshal
 import os
 import random
 import threading
@@ -168,18 +167,19 @@ def _normalize_point(v: Sequence[int]) -> Point:
 
 
 class _Helper:
-    """A process that answers ``(task, args)`` requests in ``marshal``
-    format, one at a time, until EOF on its request pipe; see ``_beside``.
-    Requests go through an unbuffered file, so a copy of this object in a
-    forked process has nothing to flush into the helper's pipe."""
+    """A process that answers pickled ``(name, args)`` requests, one at a
+    time, until EOF on its request pipe: it calls this module's function of
+    that name, and pickles the value back; see ``_beside``.  Requests go
+    through an unbuffered file, so a copy of this object in a forked
+    process has nothing to flush into the helper's pipe."""
 
     def __init__(self, pid: int, requests_out: int, answers_in: int):
         self.pid = pid
         self.requests = open(requests_out, "wb", buffering=0)
         self.answers = open(answers_in, "rb")
 
-    def ask(self, task: str, args: tuple) -> None:
-        data = memoryview(marshal.dumps((task, args)))
+    def ask(self, request: bytes) -> None:
+        data = memoryview(request)
         while data:
             data = data[self.requests.write(data) :]
 
@@ -223,6 +223,8 @@ if hasattr(os, "register_at_fork"):
 
 def _start_helper() -> _Helper | None:
     """Fork a helper, or None when a pipe or the fork fails (such as EAGAIN)."""
+    import pickle  # only a process that forks a helper loads it
+
     fds: list[int] = []
     try:
         fds += os.pipe()
@@ -239,8 +241,8 @@ def _start_helper() -> _Helper | None:
             os.close(answers_in)
             with open(requests_in, "rb") as requests, open(answers_out, "wb") as answers:
                 while True:  # until EOFError: the caller closed its end, or died
-                    task, args = marshal.load(requests)
-                    marshal.dump(_TASKS[task](*args), answers)
+                    name, args = pickle.load(requests)
+                    pickle.dump(globals()[name](*args), answers)
                     answers.flush()
         finally:
             os._exit(0)
@@ -249,39 +251,14 @@ def _start_helper() -> _Helper | None:
     return _Helper(pid, requests_out, answers_in)
 
 
-def _plain(value):
-    """``value`` as ``marshal`` sends it: a MultiPoly as (variables, terms),
-    a generator as its state; anything else as it is."""
-    if isinstance(value, MultiPoly):
-        return value.variables, value.terms
-    if isinstance(value, random.Random):
-        return value.getstate()
-    return value
-
-
-def _smooth_task(a: tuple, b: tuple) -> IntPoly:
-    return _eliminate_z(MultiPoly._from_terms(*a), MultiPoly._from_terms(*b))
-
-
-def _ahead_task(form: tuple, d: int, state: tuple, bound: int, tried: set, n: int) -> dict:
-    rng = random.Random()
-    rng.setstate(state)
-    return _draws_ahead(MultiPoly._from_terms(*form), d, rng, bound, tried, n)
-
-
-# What the helper runs, by the task names of its requests.
-_TASKS = {"smooth": _smooth_task, "ahead": _ahead_task}
-
-
 @contextmanager
-def _beside(d: int, task: str, args: tuple, instead: Callable) -> Iterator[Callable]:
-    """Run ``_TASKS[task]`` on ``args`` in the helper process while the
-    with-block runs; yields a function that returns its value, or
+def _beside(d: int, name: str, args: tuple, instead: Callable) -> Iterator[Callable]:
+    """Run this module's function ``name`` on ``args`` in the helper process
+    while the with-block runs; yields a function that returns its value, or
     ``instead()`` when there is no helper: below degree PARALLEL_MIN_DEGREE,
     with fewer than two CPUs or more than one thread (forking a threaded
     process can deadlock, and one thread at a time may use the pipes), or
-    when the fork fails or the helper dies.  ``args`` are sent through
-    ``_plain`` only when the helper is used.  The helper outlives the block
+    when the fork fails or the helper dies.  The helper outlives the block
     once its value is read; when the block ends without reading it (the
     value is not wanted, the block raised, or the helper died), it is killed
     and reaped, and the next call forks a new one.
@@ -301,20 +278,22 @@ def _beside(d: int, task: str, args: tuple, instead: Callable) -> Iterator[Calla
     if helper is None:
         yield instead
         return
+    import pickle
+
     answered = False
 
     def value():
         nonlocal answered
         try:
-            answer = marshal.load(helper.answers)
-        except EOFError:  # the helper died
+            answer = pickle.load(helper.answers)
+        except (EOFError, pickle.UnpicklingError):  # the helper died, maybe mid-answer
             return instead()
         answered = True
         return answer
 
     try:
         try:
-            helper.ask(task, tuple(map(_plain, args)))
+            helper.ask(pickle.dumps((name, args)))
         except BrokenPipeError:  # the helper died
             value = instead
         yield value
@@ -373,7 +352,7 @@ def check_smooth(form: MultiPoly) -> PlaneCurve:
         if any(p.evaluate((0, 0, 1)) == 0 for p in grads):
             continue
         a, b, c = (p.dehomogenize("y") for p in grads)
-        with _beside(d, "smooth", (a, c), partial(_eliminate_z, a, c)) as beside:
+        with _beside(d, "_eliminate_z", (a, c), partial(_eliminate_z, a, c)) as beside:
             u1, u2 = _eliminate_z(a, b), beside()
         if not u1 or not u2:
             # Two partials share a component, which meets the third partial
@@ -482,7 +461,7 @@ def flex_profile(curve: PlaneCurve, seed: int = 0) -> FlexProfile:
         record = ahead.get(tuple(map(tuple, m)))
         if record is None and proved is None:
             n = RETRY_BUDGET - attempt - 1
-            with _beside(d, "ahead", (form, d, rng, bound, tried, n), dict) as drawn:
+            with _beside(d, "_draws_ahead", (form, d, rng, bound, tried, n), dict) as drawn:
                 record = _profile_once(form, d, m)
                 if record[0] is None:
                     ahead = drawn()
@@ -522,8 +501,7 @@ def _draws_ahead(form: MultiPoly, d: int, rng: random.Random, bound: int, tried:
 def _profile_once(form: MultiPoly, d: int, m: Sequence[Sequence[int]]) -> tuple:
     """(reason, counts) for one coordinate change: the reason to reject
     it, None exactly when the projection is certified, and the resultant's
-    multiplicity profile, None when the resultant was not computed.  Both
-    are plain values, so a record crosses a pipe in ``marshal`` format.
+    multiplicity profile, None when the resultant was not computed.
 
     The change puts the projection centre at (0:1:0).  When neither the
     curve nor its Hessian passes through it, both have constant leading

@@ -14,32 +14,20 @@ transformation), which gives an independent combinatorial oracle.
 
 from __future__ import annotations
 
+from typing import NamedTuple
 
-class TupleConfig:
+
+class TupleConfig(NamedTuple("TupleConfig", [("multiplicities", tuple[int, ...])])):
     """Multiplicities of a point configuration on the line; immutable."""
 
-    __slots__ = ("multiplicities",)
+    __slots__ = ()
 
-    def __init__(self, multiplicities: tuple[int, ...]):
+    def __new__(cls, multiplicities: tuple[int, ...]):
         if not multiplicities:
             raise ValueError("configuration needs at least one point")
         if any(type(m) is not int or m < 1 for m in multiplicities):
             raise ValueError(f"multiplicities must be positive: {multiplicities}")
-        object.__setattr__(self, "multiplicities", multiplicities)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("TupleConfig is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TupleConfig):
-            return NotImplemented
-        return self.multiplicities == other.multiplicities
-
-    def __hash__(self) -> int:
-        return hash((self.multiplicities,))
-
-    def __repr__(self) -> str:
-        return f"TupleConfig(multiplicities={self.multiplicities!r})"
+        return super().__new__(cls, multiplicities)
 
     @property
     def d(self) -> int:

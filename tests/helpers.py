@@ -23,7 +23,7 @@ from orbitflex.exactpoly import (
     is_prime,
     linear_substitute,
 )
-from orbitflex.exactpoly.resultant import (
+from orbitflex.exactpoly.elimination import (
     _dense_in,
     _divexact_scalar,
     _horner,

@@ -1,5 +1,6 @@
 import errno
 import os
+import pickle
 import random
 import signal
 import subprocess
@@ -814,6 +815,23 @@ def test_child_dying_mid_job_is_replaced_by_serial_values(two_cpus, monkeypatch)
     assert flex_profile(check_smooth(form), seed=3) == want
     # one smoothness child; at seed 3 the first projection is rejected and
     # the second certified, each with a child
+    assert len(two_cpus) == forks + 3
+
+
+@needs_fork
+def test_truncated_answer_is_replaced_by_serial_values(two_cpus, monkeypatch):
+    form = parse_form(FERMAT_7)[0]
+    want = serially(monkeypatch, lambda: flex_profile(check_smooth(form), seed=3))
+
+    def half_then_die(answer, file):
+        data = pickle.dumps(answer)
+        file.write(data[: len(data) // 2])
+        file.flush()
+        os._exit(1)
+
+    monkeypatch.setattr(pickle, "dump", in_child_only(os.getpid(), half_then_die, pickle.dump))
+    forks = len(two_cpus)
+    assert flex_profile(check_smooth(form), seed=3) == want
     assert len(two_cpus) == forks + 3
 
 

@@ -1,7 +1,10 @@
+import copy
+import pickle
 import random
 
 import pytest
 
+from orbitflex.chowcalc import variable
 from orbitflex.exactpoly import MultiPoly
 from orbitflex.flexlab import FlexProfile, FlexSums, PlaneCurve, f_sums
 from orbitflex.orbitformulas import (
@@ -302,6 +305,11 @@ def test_value_types_are_immutable_and_compare_by_value():
         assert value == again() and hash(value) == hash(again()), name
         with pytest.raises(AttributeError):
             setattr(value, field, 0)
+    graded = 2 * variable("k") * variable("h") - variable("d")
+    values = [value for value, _, _ in made.values()]
+    for value in [*values, form, FlexProfile(3, {1: 9}), graded, report]:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value), value
     assert TupleConfig((2, 1)) != TupleConfig((1, 2))
     with pytest.raises(AttributeError):
         report.predegree = 0

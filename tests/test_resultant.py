@@ -12,7 +12,7 @@ from orbitflex.exactpoly import (
     linear_substitute,
     resultant,
 )
-from orbitflex.exactpoly.resultant import _interpolate, prs_subresultants
+from orbitflex.exactpoly.elimination import _interpolate, prs_subresultants
 from orbitflex.exactpoly.unipoly import _pseudo_rem
 from orbitflex.flexlab import random_unimodular
 
@@ -262,7 +262,7 @@ def test_remainder_sequence_matches_the_pass_by_pass_oracle(monkeypatch):
             a, b = _even(a), _even(b)
         pairs.append((a, b))
     got = [prs_subresultants(a, b) for a, b in pairs]
-    monkeypatch.setattr(import_module("orbitflex.exactpoly.resultant"), "_pseudo_rem", pseudo_rem_by_passes)
+    monkeypatch.setattr(import_module("orbitflex.exactpoly.elimination"), "_pseudo_rem", pseudo_rem_by_passes)
     kinds = Counter()
     for (a, b), mine in zip(pairs, got):
         want = prs_subresultants(a, b)
